@@ -2,12 +2,16 @@
 
 Builds chains of planted communities of increasing length, always seeding in
 the first block, and reports how many nodes the solver ever touches next to
-the degree-weighted push ledger and its a priori bound.
+the degree-weighted push ledger and its a priori bound, and the solve and
+sweep times next to the number of swept nodes. Run from the repository root:
+
+    PYTHONPATH=src python scripts/locality_scaling.py --chain-lengths 10 100 1000
 """
 import argparse
 import time
 
 from hyperlocal.quadratic import DiffusionConfig, ledger_bound, solve
+from hyperlocal.sweep import sweepcut
 from hyperlocal.synth import planted_hypergraph, sample_seeds
 
 
@@ -39,6 +43,9 @@ def main():
         t0 = time.perf_counter()
         res = solve(h, seeds, cfg)
         dt = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        prof = sweepcut(h, res.x)
+        sweep_dt = time.perf_counter() - t0
         touched = {v for v in res.state.x if v < h.num_nodes}
         touched.update(v for v in res.state.r if v < h.num_nodes)
         bound = ledger_bound(cfg, res.seed_volume, 1.0)
@@ -47,7 +54,8 @@ def main():
         print(f"{k:4d} blocks: n={h.num_nodes:6d} edges={len(h.hyperedges):6d} "
               f"touched={len(touched):4d} ({len(touched) / base:.2f}x of first) "
               f"pushed degree={res.sum_pushed_degree:.0f} of bound {bound:.0f} "
-              f"pushes={res.pushes} {dt:.2f}s")
+              f"pushes={res.pushes} solve {dt:.3f}s "
+              f"sweep {sweep_dt:.4f}s over {len(prof.order)} nodes")
 
 
 if __name__ == "__main__":

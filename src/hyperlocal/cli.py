@@ -15,8 +15,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from .hypergraph import (
+    GadgetParams,
     Hypergraph,
     HypergraphFormatError,
+    _parse_edges,
     format_hgr,
     parse_gadget_lines,
     parse_hypergraph,
@@ -76,15 +78,18 @@ def _write_text(path: str, body: str) -> None:
 
 
 def _load_graph(args) -> Hypergraph:
+    """Parse the .hgr (and the --gadgets sidecar, if given), then build once."""
     text = _read_text(args.graph)
     try:
-        h = parse_hypergraph(text, default_delta=args.delta)
+        n, edges = _parse_edges(text)
+        gadget = GadgetParams(1.0, args.delta)  # rejects a bad --delta, sidecar or not
         if getattr(args, "gadgets", None):
-            rows = parse_gadget_lines(_read_text(args.gadgets), len(h.hyperedges))
-            h = Hypergraph(h.num_nodes, h.hyperedges, rows)
+            rows = parse_gadget_lines(_read_text(args.gadgets), len(edges))
+        else:
+            rows = [[gadget] for _ in edges]
     except HypergraphFormatError as exc:
         raise _CliIOError(f"{args.graph}: {exc}") from exc
-    return h
+    return Hypergraph(n, edges, rows)
 
 
 def _parse_id_list(text: str, n: int, what: str):
@@ -115,7 +120,11 @@ def _cluster_lines(nodes) -> str:
     return "".join(f"{v + 1}\n" for v in sorted(nodes))
 
 
-def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux):
+def _delta_max(h) -> float:
+    return float(max(h.gadget_delta)) if h.num_gadgets else 1.0
+
+
+def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux, delta_max):
     t0 = time.perf_counter()
     report = {
         "seeds": [v + 1 for v in seeds],
@@ -129,7 +138,6 @@ def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux):
         state = exc.state
         converged = False
     wall = time.perf_counter() - t0
-    delta_max = float(max(h.gadget_delta)) if h.num_gadgets else 1.0
     report["wall_time_s"] = round(wall, 6)
     report["converged"] = converged
     if not converged:
@@ -190,13 +198,13 @@ def _cmd_diffuse(args) -> int:
             runs.append((si, tag, seeds, cfg))
 
     outdir = args.out.rstrip("/") or "."
-    results = [None] * len(runs)
+    delta_max = _delta_max(h)
 
     def work(idx):
         si, tag, seeds, cfg = runs[idx]
         prefix = (os.path.join(outdir, "") if len(runs) == 1
                   else os.path.join(outdir, f"run{idx:03d}."))
-        report, ok = _run_one_diffusion(h, seeds, cfg, prefix, args.emit_aux)
+        report, ok = _run_one_diffusion(h, seeds, cfg, prefix, args.emit_aux, delta_max)
         report["graph"] = args.graph
         report["seed_source"] = tag
         report["run"] = idx
@@ -346,8 +354,7 @@ def _cmd_check(args) -> int:
     else:
         print("skip reference comparison (instance too large)")
 
-    delta_max = float(max(h.gadget_delta)) if h.num_gadgets else 1.0
-    bound = ledger_bound(cfg, res.seed_volume, delta_max, cfg.p)
+    bound = ledger_bound(cfg, res.seed_volume, _delta_max(h), cfg.p)
     report("push ledger within bound", res.sum_pushed_degree <= bound,
            f"{res.sum_pushed_degree:.6g} <= {bound:.6g}")
 

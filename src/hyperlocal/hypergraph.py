@@ -167,6 +167,13 @@ def parse_hypergraph(text: str, default_c: float = 1.0, default_delta: float = 1
     node id out of range, a duplicate node within an edge, an edge of size < 2,
     or a wrong number of edge lines.
     """
+    n, edges = _parse_edges(text)
+    gadget = GadgetParams(default_c, default_delta)
+    return Hypergraph(n, edges, [[gadget] for _ in edges])
+
+
+def _parse_edges(text: str):
+    """The text half of parse_hypergraph: (num_nodes, 0-based edge tuples)."""
     it = _tokens(text)
     try:
         ln, header = next(it)
@@ -199,9 +206,7 @@ def parse_hypergraph(text: str, default_c: float = 1.0, default_delta: float = 1
         edges.append(tuple(v - 1 for v in ids))
     if len(edges) != m:
         raise HypergraphFormatError(f"header promised {m} hyperedges, found {len(edges)}")
-
-    gadget = GadgetParams(default_c, default_delta)
-    return Hypergraph(n, edges, [[gadget] for _ in edges])
+    return n, edges
 
 
 def parse_gadget_lines(text: str, num_edges: int):

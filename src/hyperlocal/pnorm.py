@@ -120,7 +120,6 @@ def _push(h, state, cfg, i, ri, di, adjacent, caches):
     xnew = hi
     state.x[i] = xnew
     state.r[i] = _residual_at(cfg, adjacent, ind, di, xnew)
-    state.node_caches[i] = adjacent
     state.pushes += 1
     state.sum_pushed_degree += di
     return xnew - xi
@@ -297,19 +296,6 @@ def pnorm_auxpush(h: Hypergraph, state, cfg: DiffusionConfig, j: int,
             if max(abs(ra), abs(rb)) > 10 * tol + 2 * floor:
                 raise RuntimeError(
                     f"p-norm auxpush on gadget {j} did not settle")
-
-    z_a = z_b = 0.0
-    xmin_a = xmin_b = math.inf
-    for _, xv in member_x:
-        if xv > xa:
-            z_a += c
-            if xv < xmin_a:
-                xmin_a = xv
-        if xv <= xb:
-            z_b += c
-        elif xv < xmin_b:
-            xmin_b = xv
-    state.gadget_caches[j] = (z_a, z_b, xmin_a, xmin_b)
 
     if xa > 0:
         x[a] = xa

@@ -62,8 +62,6 @@ class DiffusionState:
     seeds: frozenset = frozenset()
     queue: deque = field(default_factory=deque)
     in_queue: set = field(default_factory=set)
-    node_caches: dict = field(default_factory=dict)    # i -> (s_a, s_b, a_min, b_min)
-    gadget_caches: dict = field(default_factory=dict)  # j -> (z_a, z_b, xmin_a, xmin_b)
     touched_gadgets: set = field(default_factory=set)
     pushes: int = 0
     aux_pushes: int = 0
@@ -232,7 +230,6 @@ def hyperpush(h: Hypergraph, state: DiffusionState, cfg: DiffusionConfig, i: int
 
 
 def _apply_hyperpush(h, state, cfg, i, ri, di, adjacent, caches):
-    state.node_caches[i] = caches
     xi = state.x.get(i, 0.0)
     delta = _solve_push_amount(cfg, xi, ri, di, adjacent, caches)
     state.x[i] = xi + delta
@@ -293,7 +290,6 @@ def auxpush(h: Hypergraph, state: DiffusionState, cfg: DiffusionConfig, j: int,
                 z_b += c
             elif xv < xmin_b:
                 xmin_b = xv
-        state.gadget_caches[j] = (z_a, z_b, xmin_a, xmin_b)
         det = wab * (z_a + z_b) + z_a * z_b
         if det <= 0:
             break  # both residuals are zero up to rounding (see module tests)

@@ -34,11 +34,17 @@ def sweepcut(h: Hypergraph, x) -> SweepProfile:
     """Sweep the positive support of x from largest to smallest value.
 
     The cut is maintained incrementally via per-hyperedge in-counts: each
-    step changes one count and re-prices only the gadgets of the incident
-    edges. x may be a dict over node ids or a dense array; entries beyond
-    the original nodes (auxiliaries) are ignored.
+    step raises the counts of the swept node's edges and re-prices only
+    those edges. The edges are read off the node's incident gadgets, so for
+    a dict x the sweep costs O(vol(support) + k log k) with k the support
+    size, independent of the hypergraph's size (a dense x adds one O(n)
+    pass to find its support). x may be a dict over node ids or a dense
+    array; entries beyond the original nodes (auxiliaries) are ignored and
+    a negative id in a dict raises ValueError.
     """
     if isinstance(x, dict):
+        if any(v < 0 for v in x):
+            raise ValueError("sweepcut got a negative node id")
         items = [(v, val) for v, val in x.items() if v < h.num_nodes and val > 0]
     else:
         items = [(v, float(val)) for v, val in enumerate(x[: h.num_nodes]) if val > 0]
@@ -46,13 +52,9 @@ def sweepcut(h: Hypergraph, x) -> SweepProfile:
         raise ValueError("sweepcut needs at least one positive entry")
     items.sort(key=lambda t: (-t[1], t[0]))
 
-    incident_edges: dict[int, list[int]] = {}
-    for k, edge in enumerate(h.hyperedges):
-        for v in edge:
-            incident_edges.setdefault(v, []).append(k)
-
     total = h.total_volume
-    in_count = [0] * len(h.hyperedges)
+    gadget_edge = h.gadget_edge
+    in_count: dict[int, int] = {}
     cut = 0.0
     vol = 0.0
     order: list[int] = []
@@ -63,10 +65,18 @@ def sweepcut(h: Hypergraph, x) -> SweepProfile:
     best_rank = -1
     best_val = math.inf
     for v, val in items:
-        for k in incident_edges.get(v, ()):
-            cut -= h.edge_penalty(k, in_count[k])
-            in_count[k] += 1
-            cut += h.edge_penalty(k, in_count[k])
+        # Gadgets are stored edge-major, so one edge's gadgets are adjacent
+        # in the incidence list and the edges come in ascending order.
+        prev = -1
+        for j in h.incident_gadgets[v]:
+            k = gadget_edge[j]
+            if k == prev:
+                continue
+            prev = k
+            count = in_count.get(k, 0)
+            cut -= h.edge_penalty(k, count)
+            in_count[k] = count + 1
+            cut += h.edge_penalty(k, count + 1)
         vol += h.degrees[v]
         order.append(v)
         x_values.append(val)
@@ -98,20 +108,25 @@ def boundary_delta_bar(h: Hypergraph, s) -> float:
     """max over hyperedges crossing s of min(delta_e, |e|/2), 0 if none cross.
 
     delta_e for a multi-gadget edge is the largest gadget cap, the point past
-    which the edge's penalty saturates.
+    which the edge's penalty saturates. Only edges with a node in s can cross
+    s, so the cost is O(vol(s)) gadget visits plus the sizes of those edges.
     """
     s = set(s)
     edge_delta: dict[int, float] = {}
-    for j in range(h.num_gadgets):
-        k = h.gadget_edge[j]
-        d = float(h.gadget_delta[j])
-        if d > edge_delta.get(k, 0.0):
-            edge_delta[k] = d
+    for v in s:
+        if not 0 <= v < h.num_nodes:
+            continue
+        for j in h.incident_gadgets[v]:
+            k = h.gadget_edge[j]
+            d = float(h.gadget_delta[j])
+            if d > edge_delta.get(k, 0.0):
+                edge_delta[k] = d
     best = 0.0
-    for k, edge in enumerate(h.hyperedges):
+    for k, d in edge_delta.items():
+        edge = h.hyperedges[k]
         inside = sum(1 for v in edge if v in s)
-        if 0 < inside < len(edge):
-            val = min(edge_delta.get(k, 1.0), len(edge) / 2.0)
+        if inside < len(edge):
+            val = min(d, len(edge) / 2.0)
             if val > best:
                 best = val
     return best

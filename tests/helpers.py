@@ -1,6 +1,10 @@
-"""Deterministic instance generators shared across test modules."""
+"""Deterministic instance generators and reference implementations shared
+across test modules."""
+
+import math
 
 from hyperlocal.hypergraph import GadgetParams, Hypergraph
+from hyperlocal.sweep import SweepProfile
 from hyperlocal.synth import SplitMix64
 
 
@@ -27,3 +31,72 @@ def random_seeds(h, seed, kmax=3):
 
 def delta_max(h):
     return float(max(h.gadget_delta)) if h.num_gadgets else 1.0
+
+
+def full_scan_sweepcut(h, x):
+    """Reference sweepcut that indexes every hyperedge of h on each call."""
+    if isinstance(x, dict):
+        items = [(v, val) for v, val in x.items() if v < h.num_nodes and val > 0]
+    else:
+        items = [(v, float(val)) for v, val in enumerate(x[: h.num_nodes]) if val > 0]
+    if not items:
+        raise ValueError("sweepcut needs at least one positive entry")
+    items.sort(key=lambda t: (-t[1], t[0]))
+
+    incident_edges = {}
+    for k, edge in enumerate(h.hyperedges):
+        for v in edge:
+            incident_edges.setdefault(v, []).append(k)
+
+    total = h.total_volume
+    in_count = [0] * len(h.hyperedges)
+    cut = vol = 0.0
+    order, x_values, vols, cuts, conds = [], [], [], [], []
+    best_rank = -1
+    best_val = math.inf
+    for v, val in items:
+        for k in incident_edges.get(v, ()):
+            cut -= h.edge_penalty(k, in_count[k])
+            in_count[k] += 1
+            cut += h.edge_penalty(k, in_count[k])
+        vol += h.degrees[v]
+        order.append(v)
+        x_values.append(val)
+        vols.append(vol)
+        cuts.append(cut)
+        side = min(vol, total - vol)
+        if side <= 0:
+            conds.append(math.inf)
+            continue
+        phi = cut / side
+        conds.append(phi)
+        if phi < best_val:
+            best_val = phi
+            best_rank = len(order) - 1
+
+    if best_rank < 0:
+        best_set, dbar = (), 0.0
+    else:
+        best_set = tuple(order[: best_rank + 1])
+        dbar = full_scan_delta_bar(h, best_set)
+    return SweepProfile(order=order, x_values=x_values, prefix_vol=vols,
+                        prefix_cut=cuts, prefix_conductance=conds,
+                        best_set=best_set, best_conductance=best_val,
+                        boundary_delta_bar=dbar)
+
+
+def full_scan_delta_bar(h, s):
+    """Reference boundary_delta_bar that scans every gadget and every edge."""
+    s = set(s)
+    edge_delta = {}
+    for j in range(h.num_gadgets):
+        k = h.gadget_edge[j]
+        d = float(h.gadget_delta[j])
+        if d > edge_delta.get(k, 0.0):
+            edge_delta[k] = d
+    best = 0.0
+    for k, edge in enumerate(h.hyperedges):
+        inside = sum(1 for v in edge if v in s)
+        if 0 < inside < len(edge):
+            best = max(best, min(edge_delta.get(k, 1.0), len(edge) / 2.0))
+    return best

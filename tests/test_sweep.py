@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_instance
+from helpers import full_scan_delta_bar, full_scan_sweepcut, random_instance
 from hyperlocal.hypergraph import GadgetParams, Hypergraph, parse_hypergraph, set_metrics
+from hyperlocal.quadratic import DiffusionConfig, solve
 from hyperlocal.sweep import SweepProfile, boundary_delta_bar, prf1, profile_csv, sweepcut
-from hyperlocal.synth import SplitMix64
+from hyperlocal.synth import SplitMix64, planted_hypergraph, sample_seeds
 
 H44 = parse_hypergraph("4 2\n1 2 3\n2 3 4\n")
 
@@ -49,6 +50,11 @@ def test_all_zero_rejected():
 def test_auxiliary_entries_ignored():
     prof = sweepcut(H44, {0: 0.9, 1: 0.6, 4: 5.0, 7: 3.0})
     assert prof.order == [0, 1]
+
+
+def test_negative_node_id_rejected():
+    with pytest.raises(ValueError, match="negative"):
+        sweepcut(H44, {0: 0.9, -1: 0.5})
 
 
 def test_full_support_prefix_is_skipped_for_best():
@@ -117,6 +123,110 @@ def test_delta_bar_multi_gadget_takes_saturation_cap():
 def test_profile_carries_delta_bar_of_best_set():
     prof = sweepcut(H44, {0: 0.9, 1: 0.6})
     assert prof.boundary_delta_bar == boundary_delta_bar(H44, set(prof.best_set))
+
+
+# ---------------------------------------------------------------------------
+# the local sweep against a full scan of the hypergraph
+
+
+def multigadget_instance(seed):
+    """10-40 nodes, edges of 2-6 nodes carrying 1-3 gadgets with distinct
+    deltas; with probability 1/4 a second component that x never reaches."""
+    rng = SplitMix64(seed)
+    n = 10 + rng.randrange(31)
+    split = n // 2 if rng.randrange(4) == 0 else n
+    edges, gadgets = [], []
+    for _ in range(1 + rng.randrange(60)):
+        lo, hi = (0, split) if split == n or rng.randrange(2) else (split, n)
+        size = 2 + rng.randrange(min(6, hi - lo) - 1)
+        edges.append(tuple(sorted(rng.sample(range(lo, hi), size))))
+        deltas = rng.sample([1.0, 1.5, 2.0, 3.0, 7.0], 1 + rng.randrange(3))
+        gadgets.append([GadgetParams(0.25 + rng.random(), d) for d in deltas])
+    return Hypergraph(n, edges, gadgets), split
+
+
+def sweep_case(seed):
+    """A multi-gadget instance and a dict x over part of its first component,
+    with tied values and a few auxiliary entries past num_nodes."""
+    h, split = multigadget_instance(seed)
+    rng = SplitMix64(seed ^ 0x5EEB)
+    support = rng.sample(range(split), 1 + rng.randrange(split))
+    levels = [rng.random() + 1e-9 for _ in range(1 + rng.randrange(4))]
+    x = {v: levels[rng.randrange(len(levels))] for v in support}
+    for aux in range(h.num_nodes, h.num_nodes + 1 + rng.randrange(4)):
+        x[aux] = 2.0
+    return h, x
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_local_sweep_matches_full_scan(seed):
+    h, x = sweep_case(seed)
+    prof = sweepcut(h, x)
+    assert prof == full_scan_sweepcut(h, x)
+    dense = np.zeros(h.num_nodes + 3)
+    for v, val in x.items():
+        if v < dense.size:
+            dense[v] = val
+    assert sweepcut(h, dense) == full_scan_sweepcut(h, dense) == prof
+    for r in range(len(prof.order) + 1):
+        prefix = prof.order[:r]
+        assert boundary_delta_bar(h, prefix) == full_scan_delta_bar(h, prefix)
+    outside = [h.num_nodes, h.num_nodes + 5, -1]
+    assert boundary_delta_bar(h, prof.order + outside) == full_scan_delta_bar(h, prof.order)
+
+
+def test_sweep_cases_cover_both_boundary_kinds():
+    """The cases above reach tied values and best sets with and without
+    crossing edges (a whole component: cut 0, delta_bar 0)."""
+    crossing = closed = tied = 0
+    for seed in range(150):
+        h, x = sweep_case(seed)
+        prof = full_scan_sweepcut(h, x)
+        tied += len(set(prof.x_values)) < len(prof.x_values)
+        if prof.best_set and prof.boundary_delta_bar > 0:
+            crossing += 1
+        elif prof.best_set:
+            closed += 1
+    assert crossing and closed and tied, (crossing, closed, tied)
+
+
+class _CountingSequence:
+    """Wraps a list, counting indexed reads and whole iterations."""
+
+    def __init__(self, items):
+        self.items = items
+        self.reads = 0
+        self.iterations = 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return self.items[k]
+
+    def __iter__(self):
+        self.iterations += 1
+        return iter(self.items)
+
+
+def test_sweep_work_stays_flat_as_chain_grows():
+    """The chain of acceptance check 6 at 10 and 100 blocks, seeded in block
+    0: sweepcut plus boundary_delta_bar never iterate the edge or gadget
+    arrays whole, and read exactly as many entries at both sizes."""
+    reads = {}
+    for kblocks in (10, 100):
+        h, labels = planted_hypergraph([50] * kblocks, 120, (3, 5), 0.05, 4242,
+                                       cross_scope="chain", delta=1.0)
+        seeds = sample_seeds(labels, 0, 5, "uniform", 99, degrees=h.degrees)
+        res = solve(h, seeds, DiffusionConfig(gamma=0.1, kappa=0.01, rho=0.5))
+        wrapped = {name: _CountingSequence(getattr(h, name))
+                   for name in ("hyperedges", "gadget_edge", "gadget_delta")}
+        for name, seq in wrapped.items():
+            setattr(h, name, seq)
+        prof = sweepcut(h, res.x)
+        boundary_delta_bar(h, prof.best_set)
+        assert all(seq.iterations == 0 for seq in wrapped.values())
+        reads[kblocks] = {name: seq.reads for name, seq in wrapped.items()}
+        assert all(reads[kblocks].values())
+    assert reads[10] == reads[100], reads
 
 
 # ---------------------------------------------------------------------------
