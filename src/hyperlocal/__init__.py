@@ -19,7 +19,6 @@ from .hypergraph import (
 from .quadratic import (
     DiffusionConfig,
     DiffusionState,
-    PushLimitError,
     SolveResult,
     ledger_bound,
     solve,
@@ -43,7 +42,6 @@ __all__ = [
     "splitting_penalty",
     "DiffusionConfig",
     "DiffusionState",
-    "PushLimitError",
     "SolveResult",
     "ledger_bound",
     "solve",

@@ -12,7 +12,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .hypergraph import (
     GadgetParams,
@@ -34,7 +33,7 @@ from .oracles import (
     replay_pushes,
 )
 from .pnorm import pnorm_solve
-from .quadratic import DiffusionConfig, PushLimitError, ledger_bound, solve
+from .quadratic import DiffusionConfig, ledger_bound
 from .sweep import prf1, profile_csv, sweepcut
 from .synth import format_labels, planted_hypergraph
 
@@ -46,6 +45,9 @@ EXIT_NOCONV = 3
 _KAPPA_HELP = ("sparsity threshold kappa (required; no universal default -- "
                "scale it down with graph size: 0.01-0.1 at toy scale, "
                "~2.5e-3 around 1e5 hyperedges, ~2.5e-4 around 1e6)")
+
+_DELTA_HELP = ("uniform gadget threshold delta >= 1 for every hyperedge "
+               "(default 1.0); excludes --gadgets, whose sidecar sets every delta")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,15 +79,24 @@ def _write_text(path: str, body: str) -> None:
         raise _CliIOError(f"cannot write {path}: {exc}") from exc
 
 
+def _delta(args) -> float:
+    """The uniform --delta; the sidecar sets every delta, so it excludes --gadgets."""
+    if args.gadgets and args.delta is not None:
+        raise ValueError("--delta and --gadgets exclude each other "
+                         "(the sidecar gives every gadget's delta)")
+    return 1.0 if args.delta is None else args.delta
+
+
 def _load_graph(args) -> Hypergraph:
     """Parse the .hgr (and the --gadgets sidecar, if given), then build once."""
+    delta = _delta(args)
     text = _read_text(args.graph)
     try:
         n, edges = _parse_edges(text)
-        gadget = GadgetParams(1.0, args.delta)  # rejects a bad --delta, sidecar or not
-        if getattr(args, "gadgets", None):
+        if args.gadgets:
             rows = parse_gadget_lines(_read_text(args.gadgets), len(edges))
         else:
+            gadget = GadgetParams(1.0, delta)  # a bad --delta is a ValueError: exit 1
             rows = [[gadget] for _ in edges]
     except HypergraphFormatError as exc:
         raise _CliIOError(f"{args.graph}: {exc}") from exc
@@ -126,31 +137,20 @@ def _delta_max(h) -> float:
 
 def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux, delta_max):
     t0 = time.perf_counter()
+    res = pnorm_solve(h, seeds, cfg)
     report = {
         "seeds": [v + 1 for v in seeds],
         "kappa": cfg.kappa, "gamma": cfg.gamma, "rho": cfg.rho, "p": cfg.p,
+        "wall_time_s": round(time.perf_counter() - t0, 6),
+        "converged": res.converged,
+        "pushes": res.pushes,
+        "aux_pushes": res.state.aux_pushes,
+        "sum_pushed_degree": res.sum_pushed_degree,
+        "ledger_bound": ledger_bound(cfg, res.seed_volume, delta_max, cfg.p),
+        "support_size": len(res.x),
     }
-    try:
-        res = pnorm_solve(h, seeds, cfg)
-        converged = True
-    except PushLimitError as exc:
-        res = None
-        state = exc.state
-        converged = False
-    wall = time.perf_counter() - t0
-    report["wall_time_s"] = round(wall, 6)
-    report["converged"] = converged
-    if not converged:
-        report["pushes"] = state.pushes
-        report["sum_pushed_degree"] = state.sum_pushed_degree
-        report["ledger_bound"] = ledger_bound(cfg, state.seed_volume, delta_max, cfg.p)
-        return report, converged
-
-    report["pushes"] = res.pushes
-    report["aux_pushes"] = res.state.aux_pushes
-    report["sum_pushed_degree"] = res.sum_pushed_degree
-    report["ledger_bound"] = ledger_bound(cfg, res.seed_volume, delta_max, cfg.p)
-    report["support_size"] = len(res.x)
+    if not res.converged:
+        return report
 
     if not res.x:
         print(f"warning: diffusion vector is all zero (kappa={cfg.kappa} "
@@ -159,7 +159,7 @@ def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux, delta_max):
         _write_text(out_prefix + "solution.csv", "node_id,x\n")
         _write_text(out_prefix + "cluster.txt", "")
         report["best_conductance"] = None
-        return report, True
+        return report
 
     profile = sweepcut(h, res.x)
     _write_text(out_prefix + "solution.csv", _solution_csv(res.x))
@@ -175,7 +175,7 @@ def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux, delta_max):
     best = profile.best_conductance
     report["best_conductance"] = None if math.isinf(best) else best
     report["best_set_size"] = len(profile.best_set)
-    return report, True
+    return report
 
 
 def _cmd_diffuse(args) -> int:
@@ -190,35 +190,27 @@ def _cmd_diffuse(args) -> int:
         raise _CliIOError("no seeds given (use --seeds or --seed-nodes)")
 
     runs = []
-    for si, (tag, seeds) in enumerate(seed_sets):
+    for tag, seeds in seed_sets:
         for kappa in args.kappa:
             cfg = DiffusionConfig(kappa=kappa, gamma=args.gamma, rho=args.rho,
-                                  delta=args.delta, p=args.p, eps=args.eps,
-                                  max_pushes=args.max_pushes)
-            runs.append((si, tag, seeds, cfg))
+                                  p=args.p, eps=args.eps, max_pushes=args.max_pushes)
+            runs.append((tag, seeds, cfg))
 
     outdir = args.out.rstrip("/") or "."
     delta_max = _delta_max(h)
-
-    def work(idx):
-        si, tag, seeds, cfg = runs[idx]
+    reports = []
+    for idx, (tag, seeds, cfg) in enumerate(runs):
         prefix = (os.path.join(outdir, "") if len(runs) == 1
                   else os.path.join(outdir, f"run{idx:03d}."))
-        report, ok = _run_one_diffusion(h, seeds, cfg, prefix, args.emit_aux, delta_max)
+        report = _run_one_diffusion(h, seeds, cfg, prefix, args.emit_aux, delta_max)
         report["graph"] = args.graph
         report["seed_source"] = tag
         report["run"] = idx
-        return report, ok
+        reports.append(report)
 
-    if args.jobs > 1 and len(runs) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(work, range(len(runs))))
-    else:
-        results = [work(i) for i in range(len(runs))]
-
-    body = "".join(json.dumps(rep, sort_keys=True) + "\n" for rep, _ in results)
+    body = "".join(json.dumps(rep, sort_keys=True) + "\n" for rep in reports)
     _write_text(os.path.join(outdir, "report.jsonl"), body)
-    return EXIT_OK if all(ok for _, ok in results) else EXIT_NOCONV
+    return EXIT_OK if all(rep["converged"] for rep in reports) else EXIT_NOCONV
 
 
 def _cmd_sweep(args) -> int:
@@ -295,11 +287,13 @@ def _cmd_check(args) -> int:
         h = _load_graph(args)
         seeds = (_parse_id_list(_read_text(args.seeds), h.num_nodes, args.seeds)
                  if args.seeds else [0])
+    elif args.gadgets or args.seeds:
+        raise ValueError("--gadgets and --seeds need --graph")
     else:
-        h = parse_hypergraph(_CHECK_DEFAULT, default_delta=args.delta)
+        h = parse_hypergraph(_CHECK_DEFAULT, default_delta=_delta(args))
         seeds = [0]
     cfg = DiffusionConfig(kappa=args.kappa, gamma=args.gamma, rho=args.rho,
-                          delta=args.delta, p=args.p)
+                          p=args.p, eps=args.eps)
     failures = 0
 
     def report(name, ok, detail=""):
@@ -374,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="locality parameter (default 0.1)")
         p.add_argument("--rho", type=float, default=0.5,
                        help="push approximation parameter in (0,1) (default 0.5)")
-        p.add_argument("--delta", type=float, default=1.0,
-                       help="uniform cardinality cap delta (default 1.0)")
+        p.add_argument("--delta", type=float, default=None,
+                       help=_DELTA_HELP)
         p.add_argument("--p", type=float, default=2.0,
                        help="norm exponent in (1,2] (default 2.0, closed-form path)")
         p.add_argument("--eps", type=float, default=1e-8,
@@ -393,11 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--seed-nodes", help="inline comma-separated 1-based seed ids")
     common_solver_flags(d, kappa_multi=True)
     d.add_argument("--max-pushes", type=int, default=None,
-                   help="abort after this many pushes (exit code 3)")
+                   help="stop a run after this many pushes: its report record "
+                        "says converged false, it writes no solution or cluster "
+                        "file, and the command exits 3")
     d.add_argument("--emit-aux", action="store_true",
                    help="also write aux.csv with touched auxiliary coordinates")
-    d.add_argument("--jobs", type=int, default=1,
-                   help="thread fan-out over (seed set x kappa) runs")
     d.add_argument("--out", required=True, help="output directory")
     d.set_defaults(func=_cmd_diffuse)
 
@@ -405,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--graph", required=True)
     s.add_argument("--gadgets")
     s.add_argument("--x", required=True, help="solution CSV (node_id,x)")
-    s.add_argument("--delta", type=float, default=1.0)
+    s.add_argument("--delta", type=float, default=None,
+                   help=_DELTA_HELP)
     s.add_argument("--out", help="profile CSV path (default: stdout)")
     s.set_defaults(func=_cmd_sweep)
 

@@ -23,10 +23,10 @@ class GadgetParams:
     delta: float = 1.0
 
     def __post_init__(self):
-        if not (self.c > 0):
-            raise ValueError(f"gadget scale c must be positive, got {self.c}")
-        if not (self.delta >= 1):
-            raise ValueError(f"gadget threshold delta must be >= 1, got {self.delta}")
+        if not (0 < self.c < math.inf):
+            raise ValueError(f"gadget scale c must be finite and positive, got {self.c}")
+        if not (1 <= self.delta < math.inf):
+            raise ValueError(f"gadget threshold delta must be finite and >= 1, got {self.delta}")
 
 
 def splitting_penalty(gadgets, in_count: int, edge_size: int) -> float:

@@ -22,10 +22,11 @@ from .quadratic import (
     VIOLATION_GUARD,
     DiffusionConfig,
     SolveResult,
+    _apply_hyperpush,
     _drive,
+    _scan_node,
     aux_ids,
-    init_state,
-    solve as _quadratic_solve,
+    auxpush,
 )
 
 _BISECT_ITERS = 80
@@ -37,15 +38,7 @@ def _gap(z: float, q: float) -> float:
 
 def pnorm_node_residual(h: Hypergraph, state, cfg: DiffusionConfig, i: int) -> float:
     """Fresh p-power residual of original node i from the live state."""
-    x = state.x
-    xi = x.get(i, 0.0)
-    ind = 1.0 if i in state.seeds else 0.0
-    adjacent = []
-    n = h.num_nodes
-    for j in h.incident_gadgets[i]:
-        a = n + 2 * j
-        adjacent.append((h.gadget_c[j], x.get(a, 0.0), x.get(a + 1, 0.0)))
-    return _residual_at(cfg, adjacent, ind, h.degrees[i], xi)
+    return _scan(h, state, cfg, i)[0]
 
 
 def _residual_at(cfg, adjacent, ind, di, t):
@@ -322,35 +315,14 @@ def pnorm_auxpush(h: Hypergraph, state, cfg: DiffusionConfig, j: int,
     return da_total, db_total
 
 
-class _PnormKernel:
-    """Push kernel for the shared FIFO driver."""
-
-    @staticmethod
-    def scan(h, state, cfg, i):
-        return _scan(h, state, cfg, i)
-
-    @staticmethod
-    def push(h, state, cfg, i, ri, di, adjacent, caches):
-        return _push(h, state, cfg, i, ri, di, adjacent, caches)
-
-    @staticmethod
-    def auxpush(h, state, cfg, j, i, dxi):
-        return pnorm_auxpush(h, state, cfg, j, i, dxi)
-
-
 def pnorm_solve(h: Hypergraph, seeds, cfg: DiffusionConfig, on_event=None,
                 force_general: bool = False) -> SolveResult:
-    """Run the p-norm diffusion to convergence.
+    """Run the p-norm diffusion to convergence (or to cfg.max_pushes).
 
-    p = 2 is dispatched to the closed-form quadratic solver unless
-    force_general is set (the general kernel at p = 2 exists for cross-solver
-    agreement checks; both run the identical driver and queue policy).
+    p = 2 runs the closed-form quadratic kernels unless force_general is set
+    (the general kernels at p = 2 exist for cross-solver agreement checks;
+    both run the same driver and queue policy).
     """
     if cfg.p == 2.0 and not force_general:
-        return _quadratic_solve(h, seeds, cfg, on_event)
-    state = init_state(h, seeds, cfg)
-    _drive(h, state, cfg, _PnormKernel, on_event)
-    xv = {v: val for v, val in state.x.items() if v < h.num_nodes and val > 0}
-    return SolveResult(x=xv, state=state, converged=True, pushes=state.pushes,
-                       sum_pushed_degree=state.sum_pushed_degree,
-                       seed_volume=state.seed_volume)
+        return _drive(h, seeds, cfg, _scan_node, _apply_hyperpush, auxpush, on_event)
+    return _drive(h, seeds, cfg, _scan, _push, pnorm_auxpush, on_event)

@@ -22,37 +22,28 @@ from .hypergraph import Hypergraph
 VIOLATION_GUARD = 1e-12
 
 
-class PushLimitError(RuntimeError):
-    """Push cap hit before convergence; carries the partial state."""
-
-    def __init__(self, message, state=None):
-        super().__init__(message)
-        self.state = state
-
-
 @dataclass
 class DiffusionConfig:
     kappa: float
     gamma: float = 0.1
     rho: float = 0.5
-    delta: float = 1.0  # default gadget threshold, consumed by parsers/CLI
     p: float = 2.0
     eps: float = 1e-8
-    max_pushes: int | None = None
+    max_pushes: int | None = None  # None: no cap; else stop unconverged after this many
 
     def __post_init__(self):
-        if not (self.gamma > 0):
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if not (self.kappa > 0):
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
+        if not (0 < self.gamma < math.inf):
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not (0 < self.kappa < math.inf):
+            raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
         if not (0 < self.rho < 1):
             raise ValueError(f"rho must be in (0,1), got {self.rho}")
-        if not (self.delta >= 1):
-            raise ValueError(f"delta must be >= 1, got {self.delta}")
         if not (1 < self.p <= 2):
             raise ValueError(f"p must be in (1,2], got {self.p}")
-        if not (self.eps > 0):
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if not (0 < self.eps < math.inf):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+        if self.max_pushes is not None and self.max_pushes < 0:
+            raise ValueError(f"max_pushes must be >= 0, got {self.max_pushes}")
 
 
 @dataclass
@@ -73,7 +64,7 @@ class DiffusionState:
 class SolveResult:
     x: dict                  # positive entries over original nodes
     state: DiffusionState    # full internals, auxiliary values included
-    converged: bool
+    converged: bool          # False: cfg.max_pushes ran out, state.queue is nonempty
     pushes: int
     sum_pushed_degree: float
     seed_volume: float
@@ -250,7 +241,8 @@ def auxpush(h: Hypergraph, state: DiffusionState, cfg: DiffusionConfig, j: int,
     so the push is correct even when both perturbation terms are active.
     """
     x = state.x
-    a, b = aux_ids(h, j)
+    a = h.num_nodes + 2 * j
+    b = a + 1
     c = h.gadget_c[j]
     wab = h.gadget_wab[j]
     members = h.gadget_members(j)
@@ -268,28 +260,30 @@ def auxpush(h: Hypergraph, state: DiffusionState, cfg: DiffusionConfig, j: int,
     tol = 1e-15 * (1.0 + wab + c * len(members))
 
     for _round in range(4 * len(members) + 8):
+        # One pass: the residuals, the active weights z and the nearest
+        # breakpoints above x_a and x_b. A member at x_v == x_b counts in z_b
+        # and subtracts an exact 0.0 from r_b, which leaves r_b unchanged.
         ra = -wab * (xa - xb)
         rb = wab * (xa - xb)
-        for _, xv in member_x:
-            if xv > xa:
-                ra += c * (xv - xa)
-            if xb > xv:
-                rb -= c * (xb - xv)
-        ra = max(ra, 0.0)
-        rb = max(rb, 0.0)
-        if ra <= tol and rb <= tol:
-            break
         z_a = z_b = 0.0
         xmin_a = xmin_b = math.inf
         for _, xv in member_x:
             if xv > xa:
+                ra += c * (xv - xa)
                 z_a += c
                 if xv < xmin_a:
                     xmin_a = xv
             if xv <= xb:
+                rb -= c * (xb - xv)
                 z_b += c
             elif xv < xmin_b:
                 xmin_b = xv
+        if ra <= tol and rb <= tol:
+            break
+        if ra < 0.0:
+            ra = 0.0
+        if rb < 0.0:
+            rb = 0.0
         det = wab * (z_a + z_b) + z_a * z_b
         if det <= 0:
             break  # both residuals are zero up to rounding (see module tests)
@@ -332,56 +326,46 @@ def auxpush(h: Hypergraph, state: DiffusionState, cfg: DiffusionConfig, j: int,
     return da_total, db_total
 
 
-class _QuadraticKernel:
-    """Push kernel used by the shared FIFO driver (p-norm has its own)."""
+def _drive(h, seeds, cfg, scan, push, auxpush, on_event=None) -> SolveResult:
+    """The FIFO push loop of both solvers: dequeue, re-check, push, settle
+    the incident gadgets. scan/push/auxpush are the solver's kernels.
 
-    @staticmethod
-    def scan(h, state, cfg, i):
-        return _scan_node(h, state, cfg, i)
-
-    @staticmethod
-    def push(h, state, cfg, i, ri, di, adjacent, caches):
-        return _apply_hyperpush(h, state, cfg, i, ri, di, adjacent, caches)
-
-    @staticmethod
-    def auxpush(h, state, cfg, j, i, dxi):
-        return auxpush(h, state, cfg, j, i, dxi)
-
-
-def _drive(h, state, cfg, kernel, on_event=None):
-    """Shared FIFO loop: dequeue, re-check, push, settle incident gadgets."""
+    Once cfg.max_pushes pushes are spent, the next violating node goes back
+    to the queue front and the partial result comes back with
+    converged=False.
+    """
+    state = init_state(h, seeds, cfg)
     thresh = 1.0 + VIOLATION_GUARD
     queue = state.queue
     while queue:
         i = queue.popleft()
         state.in_queue.discard(i)
         di = h.degrees[i]
-        ri, adjacent, caches = kernel.scan(h, state, cfg, i)
+        ri, adjacent, caches = scan(h, state, cfg, i)
         if ri <= cfg.kappa * di * thresh:
             state.r[i] = ri
             continue
         if cfg.max_pushes is not None and state.pushes >= cfg.max_pushes:
             queue.appendleft(i)
             state.in_queue.add(i)
-            raise PushLimitError(f"push cap {cfg.max_pushes} reached", state=state)
-        dxi = kernel.push(h, state, cfg, i, ri, di, adjacent, caches)
+            break
+        dxi = push(h, state, cfg, i, ri, di, adjacent, caches)
         if on_event is not None:
             on_event("hyperpush", {"node": i, "dx": dxi, "d": di, "r_before": ri})
         for j in h.incident_gadgets[i]:
-            da, db = kernel.auxpush(h, state, cfg, j, i, dxi)
+            da, db = auxpush(h, state, cfg, j, i, dxi)
             if on_event is not None:
                 on_event("auxpush", {"gadget": j, "node": i, "da": da, "db": db})
-    return state
+    xv = {v: val for v, val in state.x.items() if v < h.num_nodes and val > 0}
+    return SolveResult(x=xv, state=state, converged=not queue, pushes=state.pushes,
+                       sum_pushed_degree=state.sum_pushed_degree,
+                       seed_volume=state.seed_volume)
 
 
 def solve(h: Hypergraph, seeds, cfg: DiffusionConfig, on_event=None) -> SolveResult:
-    """Run the diffusion to convergence; x restricted to positive original entries."""
-    state = init_state(h, seeds, cfg)
-    _drive(h, state, cfg, _QuadraticKernel, on_event)
-    xv = {v: val for v, val in state.x.items() if v < h.num_nodes and val > 0}
-    return SolveResult(x=xv, state=state, converged=True, pushes=state.pushes,
-                       sum_pushed_degree=state.sum_pushed_degree,
-                       seed_volume=state.seed_volume)
+    """Run the diffusion to convergence (or to cfg.max_pushes); x restricted
+    to positive original entries."""
+    return _drive(h, seeds, cfg, _scan_node, _apply_hyperpush, auxpush, on_event)
 
 
 def ledger_bound(cfg: DiffusionConfig, seed_volume: float, delta_max: float, p: float = 2.0) -> float:

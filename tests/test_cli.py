@@ -21,6 +21,15 @@ def tri_file(tmp_path):
     return p
 
 
+@pytest.fixture
+def quad_files(tmp_path):
+    g = tmp_path / "quad.hgr"
+    g.write_text("4 1\n1 2 3 4\n")
+    side = tmp_path / "quad.gadgets"
+    side.write_text("1:2\n")
+    return g, side
+
+
 def read_solution(path):
     out = {}
     for line in path.read_text().splitlines()[1:]:
@@ -75,14 +84,16 @@ def test_diffuse_multi_kappa_run_prefixes(tri_file, tmp_path):
     assert all(r["converged"] for r in reports)
 
 
-def test_diffuse_jobs_parallel_is_equivalent(tri_file, tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    args = ["diffuse", "--graph", str(tri_file), "--seed-nodes", "1",
-            "--kappa", "0.1", "0.02", "0.05"]
-    assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--jobs", "3", "--out", str(b)]) == 0
-    for name in ("run000.solution.csv", "run001.solution.csv", "run002.solution.csv"):
-        assert (a / name).read_text() == (b / name).read_text()
+def test_diffuse_batch_runs_match_single_runs(tri_file, tmp_path):
+    kappas = ["0.1", "0.02", "0.05"]
+    args = ["diffuse", "--graph", str(tri_file), "--seed-nodes", "1", "--kappa"]
+    batch = tmp_path / "batch"
+    assert main(args + kappas + ["--out", str(batch)]) == 0
+    for idx, kappa in enumerate(kappas):
+        single = tmp_path / f"single{idx}"
+        assert main(args + [kappa, "--out", str(single)]) == 0
+        assert ((batch / f"run{idx:03d}.solution.csv").read_bytes()
+                == (single / "solution.csv").read_bytes())
 
 
 def test_diffuse_emit_aux(tri_file, tmp_path):
@@ -97,16 +108,40 @@ def test_diffuse_emit_aux(tri_file, tmp_path):
     assert float(xa) >= float(xb) > 0
 
 
-def test_diffuse_gadget_sidecar(tmp_path):
-    g = tmp_path / "quad.hgr"
-    g.write_text("4 1\n1 2 3 4\n")
-    side = tmp_path / "quad.gadgets"
-    side.write_text("1:2\n")
+def test_diffuse_gadget_sidecar(quad_files, tmp_path):
+    g, side = quad_files
     out = tmp_path / "out"
     rc = main(["diffuse", "--graph", str(g), "--gadgets", str(side),
                "--seed-nodes", "1", "--kappa", "0.05", "--out", str(out)])
     assert rc == 0
     assert json.loads((out / "report.jsonl").read_text())["support_size"] > 0
+
+
+def test_diffuse_delta_below_one_is_usage_error(tri_file, tmp_path):
+    rc = main(["diffuse", "--graph", str(tri_file), "--seed-nodes", "1",
+               "--kappa", "0.1", "--delta", "0.5", "--out", str(tmp_path / "out")])
+    assert rc == 1
+
+
+def test_delta_with_gadgets_is_usage_error(quad_files, tmp_path, capsys):
+    g, side = quad_files
+    x = tmp_path / "x.csv"
+    x.write_text("node_id,x\n1,0.5\n")
+    common = ["--graph", str(g), "--gadgets", str(side), "--delta", "3"]
+    assert main(["diffuse", *common, "--seed-nodes", "1", "--kappa", "0.05",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+    assert main(["sweep", *common, "--x", str(x)]) == 1
+    assert main(["check", *common, "--kappa", "0.1"]) == 1
+    assert "--delta and --gadgets exclude each other" in capsys.readouterr().err
+
+
+def test_nonfinite_sidecar_delta_is_format_error(quad_files, tmp_path):
+    g, side = quad_files
+    side.write_text("1:inf\n")
+    rc = main(["diffuse", "--graph", str(g), "--gadgets", str(side),
+               "--seed-nodes", "1", "--kappa", "0.05", "--out", str(tmp_path / "out")])
+    assert rc == 2
 
 
 def test_diffuse_all_zero_vector_warns_but_succeeds(tri_file, tmp_path, capsys):
@@ -129,6 +164,9 @@ def test_diffuse_push_cap_exits_nonconverged(tri_file, tmp_path):
     rep = json.loads((out / "report.jsonl").read_text())
     assert rep["converged"] is False
     assert rep["pushes"] == 2
+    res = solve(parse_hypergraph(TRIANGLE), [0], DiffusionConfig(kappa=0.01, max_pushes=2))
+    assert rep["aux_pushes"] == res.state.aux_pushes > 0
+    assert not (out / "solution.csv").exists()
 
 
 def test_diffuse_missing_graph_is_io_error(tmp_path):
@@ -261,6 +299,20 @@ def test_check_battery_passes_default_instance(capsys):
 def test_check_battery_pnorm(capsys):
     assert main(["check", "--kappa", "0.1", "--p", "1.4"]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_check_gadgets_or_seeds_without_graph_is_usage_error(quad_files, tmp_path):
+    _, side = quad_files
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("2\n")
+    assert main(["check", "--gadgets", str(side), "--kappa", "0.1"]) == 1
+    assert main(["check", "--seeds", str(seeds), "--kappa", "0.1"]) == 1
+
+
+def test_check_passes_eps_to_the_solver(capsys):
+    # A coarse bisection tolerance must reach the p-norm kernels and show.
+    assert main(["check", "--kappa", "0.1", "--p", "1.4", "--eps", "0.5"]) == 3
+    assert "FAIL solver residual bounds" in capsys.readouterr().out
 
 
 def test_check_missing_graph_is_io_error(tmp_path):

@@ -58,6 +58,9 @@ def test_gadget_params_validation():
         GadgetParams(0.0, 1.0)
     with pytest.raises(ValueError):
         GadgetParams(1.0, 0.5)
+    for c, delta in [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)]:
+        with pytest.raises(ValueError):
+            GadgetParams(c, delta)
     g = GadgetParams(2.0, 1.5)
     assert g.c == 2.0 and g.delta == 1.5
 
@@ -103,6 +106,10 @@ def test_parse_gadget_sidecar():
         parse_gadget_lines("1-2\n", 1)          # not c:delta
     with pytest.raises(HypergraphFormatError):
         parse_gadget_lines("0:1\n", 1)          # c must be positive
+    with pytest.raises(HypergraphFormatError):
+        parse_gadget_lines("1:inf\n", 1)        # delta must be finite
+    with pytest.raises(HypergraphFormatError):
+        parse_gadget_lines("inf:1\n", 1)        # c must be finite
 
 
 def test_format_hgr_round_trip():

@@ -120,6 +120,13 @@ def test_triangle_regression_and_kkt():
     assert rep.max_box_violation <= 1e-12
 
 
+def test_solve_push_cap_carries_partial_state():
+    res = pnorm_solve(TRIANGLE, [0], cfg(kappa=0.01, p=1.4, max_pushes=3))
+    assert not res.converged
+    assert res.pushes == 3
+    assert len(res.state.queue) > 0
+
+
 @pytest.mark.parametrize("seed", [9, 27])
 def test_solve_postconditions_random(seed):
     h = random_instance(seed, max_n=12, max_m=14, max_size=5)
