@@ -145,6 +145,8 @@ def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux, delta_max):
         "converged": res.converged,
         "pushes": res.pushes,
         "aux_pushes": res.state.aux_pushes,
+        "root_evals": res.state.root_evals,
+        "settle_fallbacks": res.state.settle_fallbacks,
         "sum_pushed_degree": res.sum_pushed_degree,
         "ledger_bound": ledger_bound(cfg, res.seed_volume, delta_max, cfg.p),
         "support_size": len(res.x),
@@ -373,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=float, default=2.0,
                        help="norm exponent in (1,2] (default 2.0, closed-form path)")
         p.add_argument("--eps", type=float, default=1e-8,
-                       help="bisection tolerance for the p-norm kernels")
+                       help="width at which the p-norm push stops bracketing "
+                            "x_i (default 1e-8)")
         if kappa_multi:
             p.add_argument("--kappa", type=float, nargs="+", required=True,
                            help=_KAPPA_HELP)

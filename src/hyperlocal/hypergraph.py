@@ -212,23 +212,29 @@ def _parse_edges(text: str):
 def parse_gadget_lines(text: str, num_edges: int):
     """Parse a gadget sidecar: one line per hyperedge, "c1:delta1 c2:delta2 ...".
 
-    Returns a list of gadget lists aligned with the hyperedge order.
+    Returns a list of gadget lists aligned with the hyperedge order. Equal
+    tokens share one (frozen) GadgetParams; only valid tokens are memoized,
+    so every bad token is parsed, and reported, at its own line.
     """
     rows = []
+    memo = {}
     for ln, toks in _tokens(text):
         gl = []
         for t in toks:
-            parts = t.split(":")
-            if len(parts) != 2:
-                raise HypergraphFormatError(f"line {ln}: gadget token '{t}' is not 'c:delta'")
-            try:
-                c, delta = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise HypergraphFormatError(f"line {ln}: non-numeric gadget token '{t}'") from None
-            try:
-                gl.append(GadgetParams(c, delta))
-            except ValueError as exc:
-                raise HypergraphFormatError(f"line {ln}: {exc}") from None
+            g = memo.get(t)
+            if g is None:
+                parts = t.split(":")
+                if len(parts) != 2:
+                    raise HypergraphFormatError(f"line {ln}: gadget token '{t}' is not 'c:delta'")
+                try:
+                    c, delta = float(parts[0]), float(parts[1])
+                except ValueError:
+                    raise HypergraphFormatError(f"line {ln}: non-numeric gadget token '{t}'") from None
+                try:
+                    g = memo[t] = GadgetParams(c, delta)
+                except ValueError as exc:
+                    raise HypergraphFormatError(f"line {ln}: {exc}") from None
+            gl.append(g)
         if not gl:
             raise HypergraphFormatError(f"line {ln}: empty gadget line")
         rows.append(gl)

@@ -56,6 +56,8 @@ class DiffusionState:
     touched_gadgets: set = field(default_factory=set)
     pushes: int = 0
     aux_pushes: int = 0
+    root_evals: int = 0        # p-norm push residual + settle defect evaluations
+    settle_fallbacks: int = 0  # p-norm settles that fell back to _settle_levels
     sum_pushed_degree: float = 0.0
     seed_volume: float = 0.0
 

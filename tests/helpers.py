@@ -4,6 +4,7 @@ across test modules."""
 import math
 
 from hyperlocal.hypergraph import GadgetParams, Hypergraph
+from hyperlocal.pnorm import _residual_at
 from hyperlocal.sweep import SweepProfile
 from hyperlocal.synth import SplitMix64
 
@@ -100,3 +101,68 @@ def full_scan_delta_bar(h, s):
         if 0 < inside < len(edge):
             best = max(best, min(edge_delta.get(k, 1.0), len(edge) / 2.0))
     return best
+
+
+def bisection_push(h, state, cfg, i, ri, di, adjacent, caches):
+    """Reference p-norm push: plain bisection of [x_i, 1] to width eps."""
+    xi = state.x.get(i, 0.0)
+    ind = 1.0 if i in state.seeds else 0.0
+    target = cfg.rho * cfg.kappa * di
+    lo, hi = xi, 1.0
+    for _ in range(200):
+        if hi - lo <= cfg.eps:
+            break
+        mid = 0.5 * (lo + hi)
+        if _residual_at(cfg, adjacent, ind, di, mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    xnew = hi
+    state.x[i] = xnew
+    state.r[i] = _residual_at(cfg, adjacent, ind, di, xnew)
+    state.pushes += 1
+    state.sum_pushed_degree += di
+    return xnew - xi
+
+
+def bisection_settle_pair(member_x, c, wab, q, xa0, xb0, tol):
+    """Reference gadget-pair settle: 80 halvings of [x_min, x_max] on x_a."""
+    xs = sorted(xv for _, xv in member_x)
+    xmin = xs[0]
+    xmax = xs[-1]
+    if xmax <= xmin:
+        return max(xmax, xa0), max(xmax, xb0)
+    settle = 0.01 * tol
+    inv_q = 1.0 / q
+
+    def pair_at(t):
+        acc = 0.0
+        for xv in reversed(xs):
+            if xv <= t:
+                break
+            acc += (xv - t) ** q
+        y = c * acc
+        return t - (y / wab) ** inv_q, y
+
+    lo, hi = xmin, xmax
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        xb_mid, y = pair_at(mid)
+        acc = 0.0
+        for xv in xs:
+            if xv >= xb_mid:
+                break
+            acc += (xb_mid - xv) ** q
+        defect = c * acc - y
+        if abs(defect) <= settle:
+            lo = hi = mid
+            break
+        if defect > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    xa = 0.5 * (lo + hi)
+    xb, _ = pair_at(xa)
+    return max(xa, xa0), max(min(xb, xa), xb0)

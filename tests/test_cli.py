@@ -72,6 +72,18 @@ def test_diffuse_pnorm_dispatch(tri_file, tmp_path):
         assert got[k] == pytest.approx(v, abs=1e-9)
 
 
+def test_diffuse_reports_root_find_counters(tri_file, tmp_path):
+    out = tmp_path / "out"
+    rc = main(["diffuse", "--graph", str(tri_file), "--seed-nodes", "1",
+               "--kappa", "0.1", "--p", "1.4", "--out", str(out)])
+    assert rc == 0
+    h = parse_hypergraph(TRIANGLE)
+    res = pnorm_solve(h, [0], DiffusionConfig(kappa=0.1, p=1.4))
+    rep = json.loads((out / "report.jsonl").read_text())
+    assert rep["root_evals"] == res.state.root_evals > 0
+    assert rep["settle_fallbacks"] == res.state.settle_fallbacks == 0
+
+
 def test_diffuse_multi_kappa_run_prefixes(tri_file, tmp_path):
     out = tmp_path / "out"
     rc = main(["diffuse", "--graph", str(tri_file), "--seed-nodes", "1",

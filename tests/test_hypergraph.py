@@ -112,6 +112,27 @@ def test_parse_gadget_sidecar():
         parse_gadget_lines("inf:1\n", 1)        # c must be finite
 
 
+def test_sidecar_repeated_tokens_share_params():
+    rows = parse_gadget_lines("1:2 2:1\n2:1\n1:2 1:2\n", 3)
+    assert rows == [[GadgetParams(1.0, 2.0), GadgetParams(2.0, 1.0)],
+                    [GadgetParams(2.0, 1.0)],
+                    [GadgetParams(1.0, 2.0), GadgetParams(1.0, 2.0)]]
+    assert rows[2][0] is rows[2][1] is rows[0][0]
+
+
+@pytest.mark.parametrize("bad, why", [("0:1", "positive"), ("1-2", "c:delta"),
+                                      ("x:1", "non-numeric")])
+def test_sidecar_bad_token_keeps_its_line(bad, why):
+    # A bad token is never memoized: its first use, on line 3, is the one
+    # reported, after valid tokens on lines 1-2 and before its repeat.
+    text = f"1:2\n1:2 2:1\n2:1 {bad}\n{bad}\n"
+    with pytest.raises(HypergraphFormatError, match=f"^line 3: .*{why}") as exc:
+        parse_gadget_lines(text, 4)
+    assert bad in str(exc.value) or why == "positive"
+    with pytest.raises(HypergraphFormatError, match=f"^line 1: .*{why}"):
+        parse_gadget_lines(f"{bad}\n", 1)
+
+
 def test_format_hgr_round_trip():
     h = parse_hypergraph(FOUR_TWO)
     again = parse_hypergraph(format_hgr(h))

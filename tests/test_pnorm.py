@@ -1,13 +1,24 @@
 """Tests for the p-norm solver: residual recomputation, the p=2 crossover,
-and the bisection-based push machinery on stiff gadgets."""
+the bracketed root-finders of the push and the gadget settle (against the
+plain bisections they replace), and the push machinery on stiff gadgets."""
 import math
+import random
 
 import pytest
 
-from helpers import delta_max, random_instance, random_seeds
+import hyperlocal.pnorm as pnorm_mod
+from helpers import (
+    bisection_push,
+    bisection_settle_pair,
+    delta_max,
+    random_instance,
+    random_seeds,
+)
 from hyperlocal.hypergraph import Hypergraph, parse_hypergraph
 from hyperlocal.oracles import kkt_check
 from hyperlocal.pnorm import (
+    _push,
+    _residual_at,
     _settle_pair,
     pnorm_aux_residuals,
     pnorm_auxpush,
@@ -22,6 +33,7 @@ from hyperlocal.quadratic import (
     node_residual,
     solve,
 )
+from hyperlocal.synth import planted_hypergraph, sample_seeds
 
 TRIANGLE = parse_hypergraph("3 1\n1 2 3\n")
 EDGE = Hypergraph(2, [(0, 1)])
@@ -232,3 +244,171 @@ def test_member_bumps_match_recomputation():
     pnorm_auxpush(h, st0, c, 0, i=0, dxi=0.2)
     assert st0.r[1] == pytest.approx(pnorm_node_residual(h, st0, c, 1), abs=1e-7)
     assert st0.r[2] == pytest.approx(pnorm_node_residual(h, st0, c, 2), abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# Root-finders against the reference bisections (tests/helpers.py)
+
+
+def _push_case(rng, p, eps):
+    """(cfg, x_i, is_seed, r_i, d_i, adjacent) of a push whose residual r_i at
+    x_i is above kappa*d_i. Auxiliary values tie x_i, each other or a point
+    of the bisection grid of [x_i, 1], and the crossing of the target can
+    sit on a grid point."""
+    while True:
+        xi = rng.uniform(1e-6, 0.6) if rng.random() < 0.7 else 10 ** -rng.uniform(1, 9)
+        grid = [xi + (1.0 - xi) * k / 2 ** m for m in (1, 2, 3, 20) for k in range(1, 2 ** min(m, 3))]
+        adjacent = []
+        for _ in range(rng.randint(1, 6)):
+            c = rng.choice([1.0, 0.5, 2.0, rng.uniform(0.1, 3.0)])
+            xb = rng.uniform(0.0, 1.0)
+            xa = rng.uniform(xb, 1.0)
+            roll = rng.random()
+            if roll < 0.3:
+                xa, xb = (xi, min(xb, xi)) if rng.random() < 0.5 else (max(xa, xi), xi)
+            elif roll < 0.45:
+                xa = xb
+            elif roll < 0.65:
+                xb = rng.choice(grid)
+                xa = max(xa, xb)
+            adjacent.append((c, xa, xb))
+        seed = rng.random() < 0.5
+        ind = 1.0 if seed else 0.0
+        di = sum(c for c, _, _ in adjacent)
+        gamma = rng.choice([0.1, 1.0])
+        probe = DiffusionConfig(kappa=0.5, gamma=gamma, p=p, eps=eps)
+        ri = _residual_at(probe, adjacent, ind, di, xi)
+        if ri <= 0.0:
+            continue
+        kappa = ri / di * rng.uniform(0.05, 0.9)
+        if rng.random() < 0.3:
+            # Put the crossing on a grid point: target = rho*kappa*d_i is
+            # f there up to rounding.
+            f_grid = _residual_at(probe, adjacent, ind, di, rng.choice(grid))
+            if 0.0 < f_grid < probe.rho * ri:
+                kappa = f_grid / (probe.rho * di)
+        return DiffusionConfig(kappa=kappa, gamma=gamma, p=p, eps=eps), xi, seed, ri, di, adjacent
+
+
+@pytest.mark.parametrize("p", [1.3, 1.4, 1.5, 1.7, 2.0])
+@pytest.mark.parametrize("eps", [1e-8, 1e-4, 0.5])
+def test_push_matches_bisection_reference(p, eps):
+    """Illinois bracket plus bisection replay accepts the exact point and
+    stores the exact residual of plain bisection: 20 lists per (p, eps),
+    300 in all."""
+    rng = random.Random(f"push/{p}/{eps}")
+    ties = 0
+    for _ in range(20):
+        c, xi, seed, ri, di, adjacent = _push_case(rng, p, eps)
+        ties += any(xi in (xa, xb) or xa == xb for _, xa, xb in adjacent)
+        got, want = (state_with(EDGE, [0] if seed else [], {0: xi}) for _ in range(2))
+        dx = _push(None, got, c, 0, ri, di, adjacent, None)
+        dx_ref = bisection_push(None, want, c, 0, ri, di, adjacent, None)
+        assert (got.x[0], got.r[0], dx) == (want.x[0], want.r[0], dx_ref), (xi, adjacent)
+        assert got.root_evals >= 1
+    assert ties > 0
+
+
+def _members(rng):
+    """2-7 member values in [0, 1], with exact ties, zeros and near-ties
+    1e-12..1e-6 apart."""
+    scale = 1.0 if rng.random() < 0.5 else 10 ** -rng.uniform(2, 7)
+    xs = []
+    for _ in range(rng.randint(2, 7)):
+        roll = rng.random()
+        if xs and roll < 0.35:
+            xs.append(min(1.0, rng.choice(xs) + rng.choice([0.0, 1e-12, 1e-10, 1e-8, 1e-6])))
+        elif roll < 0.45:
+            xs.append(0.0)
+        else:
+            xs.append(scale * rng.random())
+    return xs
+
+
+def _pair_error(xs, c, wab, q, xa, xb):
+    ra = -wab * (xa - xb) ** q if xa > xb else 0.0
+    rb = -ra
+    for xv in xs:
+        if xv > xa:
+            ra += c * (xv - xa) ** q
+        if xb > xv:
+            rb -= c * (xb - xv) ** q
+    return max(abs(ra), abs(rb))
+
+
+@pytest.mark.parametrize("q", [0.3, 0.4, 0.6, 1.0])
+def test_settle_pair_meets_auxpush_bound(q):
+    """On 80 member sets per q (320 in all) the Newton settle, like the
+    reference bisection, meets the residual bound 10*tol + 2*floor that
+    pnorm_auxpush checks before it falls back to _settle_levels. The start
+    is the previous root with one member lowered, as after a push, or
+    (0, 0) for a fresh gadget."""
+    rng = random.Random(f"settle/{q}")
+    near_ties = 0
+    for _ in range(80):
+        xs = _members(rng)
+        c = rng.choice([1.0, 0.5, 2.0])
+        wab = c * rng.choice([1.0, 2.0, 3.0, rng.uniform(1.0, 4.0)])
+        tol = 1e-9 * (1.0 + wab + c * len(xs))
+        xa0 = xb0 = 0.0
+        if rng.random() < 0.75:
+            before = list(xs)
+            k = rng.randrange(len(xs))
+            before[k] *= rng.random()
+            xa0, xb0 = bisection_settle_pair(list(enumerate(before)), c, wab, q, 0.0, 0.0, tol)
+        near_ties += any(0.0 < abs(u - v) <= 1e-10 for u in xs for v in xs)
+        member_x = list(enumerate(xs))
+        for settle in (_settle_pair, bisection_settle_pair):
+            xa, xb = settle(member_x, c, wab, q, xa0, xb0, tol)
+            assert xa >= xb >= xb0 and xa >= xa0
+            floor = (wab + c) * math.ulp(max(max(xs), xa)) ** q
+            err = _pair_error(xs, c, wab, q, xa, xb)
+            assert err <= 10 * tol + 2 * floor, (settle.__name__, xs, c, wab, xa0, xb0)
+    assert near_ties > 0
+
+
+def test_settle_pair_escapes_newton_cycle():
+    # From a p = 1.4 planted run: plain Newton from xa0 bounces between two
+    # points with defects of about -0.0087 and 0.0166 while the bracket
+    # shrinks by ~1e-14 per step. Bisecting whenever a step is not at most
+    # half the one before breaks the cycle.
+    xs = [0.0, 2.980232238769531e-07, 3.978604765699885e-06, 6.526694755047574e-06]
+    tol = 6e-09
+    q = 1.4 - 1.0
+    xa, xb = _settle_pair(list(enumerate(xs)), 1.0, 1.0, q,
+                          3.60271913254819e-06, 6.787435100488048e-07, tol)
+    floor = 2.0 * math.ulp(xs[-1]) ** q
+    assert _pair_error(xs, 1.0, 1.0, q, xa, xb) <= 10 * tol + 2 * floor
+
+
+def test_root_find_work_counters(monkeypatch):
+    """On planted fixture 1000 at p = 1.4 (kappa = vol(R)/3000, the
+    benchmark's setting) a settle takes at most 10 defect evaluations and a
+    push at most 16 residual evaluations on average (bisection took about
+    31 and 28), and root_evals is exactly their sum."""
+    h, labels = planted_hypergraph([200, 200], 600, (3, 6), 0.05, 1000, delta=1.0)
+    seeds = sample_seeds(labels, 0, 5, "degree_proportional", 1000, degrees=h.degrees)
+    c = cfg(kappa=sum(h.degrees[v] for v in seeds) / 3000.0, p=1.4)
+    work = {"push": [0, 0], "settle": [0, 0]}
+
+    def counted(name, fn, state_at):
+        def wrapper(*args):
+            st = args[state_at]
+            before = st.root_evals
+            out = fn(*args)
+            work[name][0] += 1
+            work[name][1] += st.root_evals - before
+            return out
+        return wrapper
+
+    monkeypatch.setattr(pnorm_mod, "_push", counted("push", pnorm_mod._push, 1))
+    monkeypatch.setattr(pnorm_mod, "_settle_pair",
+                        counted("settle", pnorm_mod._settle_pair, 7))
+    res = pnorm_solve(h, seeds, c)
+    assert res.converged
+    (pushes, push_evals), (settles, settle_evals) = work["push"], work["settle"]
+    assert pushes == res.pushes and settles > 0
+    assert res.state.root_evals == push_evals + settle_evals
+    assert push_evals <= 16 * pushes
+    assert settle_evals <= 10 * settles
+    assert res.state.settle_fallbacks == 0
