@@ -14,7 +14,6 @@ import sys
 import time
 
 from .hypergraph import (
-    GadgetParams,
     Hypergraph,
     HypergraphFormatError,
     _parse_edges,
@@ -92,12 +91,10 @@ def _load_graph(args) -> Hypergraph:
     delta = _delta(args)
     text = _read_text(args.graph)
     try:
+        if not args.gadgets:
+            return parse_hypergraph(text, 1.0, delta)  # a bad --delta is a ValueError: exit 1
         n, edges = _parse_edges(text)
-        if args.gadgets:
-            rows = parse_gadget_lines(_read_text(args.gadgets), len(edges))
-        else:
-            gadget = GadgetParams(1.0, delta)  # a bad --delta is a ValueError: exit 1
-            rows = [[gadget] for _ in edges]
+        rows = parse_gadget_lines(_read_text(args.gadgets), len(edges))
     except HypergraphFormatError as exc:
         raise _CliIOError(f"{args.graph}: {exc}") from exc
     return Hypergraph(n, edges, rows)
@@ -132,7 +129,7 @@ def _cluster_lines(nodes) -> str:
 
 
 def _delta_max(h) -> float:
-    return float(max(h.gadget_delta)) if h.num_gadgets else 1.0
+    return float(h.gadget_delta.max()) if h.num_gadgets else 1.0
 
 
 def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux, delta_max):

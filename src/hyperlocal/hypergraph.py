@@ -4,13 +4,26 @@ Hyperedges carry one or more "gadgets" (c, delta): the penalty a set S pays on
 edge e is sum_j c_j * min(|A|, |e|-|A|, delta_j) with A = e & S. delta >= 1 keeps
 every per-node penalty f_e({i}) equal to sum_j c_j, which is what the degree
 formula relies on.
+
+Storage is columnar: flat numpy arrays, CSR for the ragged rows. Loading is a
+few vectorized passes over the input, with no Python object per edge or per
+token. The solvers and the sweep read the arrays through memoized views
+(`LazyView`) that hand out Python ints, floats and tuples and convert each
+entry the first time it is read, so a query pays for what it touches, not
+for the size of the hypergraph.
 """
 from __future__ import annotations
 
 import math
+import re
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 import numpy as np
+
+MAX_NODES = 2 ** 31 - 1  # node and gadget ids are stored as int32
 
 
 class HypergraphFormatError(ValueError):
@@ -39,88 +52,279 @@ def splitting_penalty(gadgets, in_count: int, edge_size: int) -> float:
     return sum(g.c * min(small_side, g.delta) for g in gadgets)
 
 
-class Hypergraph:
-    """Immutable hypergraph with per-edge gadget lists.
+class LazyView(dict):
+    """key -> value converted from the arrays the first time it is read.
 
-    Node ids are 0-based internally. `hyperedges` is a list of tuples of
-    distinct node ids (size >= 2); `gadgets[k]` is the non-empty gadget list of
-    edge k. Degrees, adjacency and the flattened gadget arrays used by the
-    solvers are precomputed here once.
+    A dict subclass, so a repeated read is one dict lookup; it holds only the
+    keys read so far, and len() counts them.
     """
 
-    def __init__(self, num_nodes: int, hyperedges, gadgets=None):
+    __slots__ = ("_convert",)
+
+    def __init__(self, convert):
+        super().__init__()
+        self._convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self._convert(key)
+        return value
+
+
+def _csr_row(offsets, values, k):
+    if not 0 <= k < len(offsets) - 1:
+        raise IndexError(f"row {k} out of range [0, {len(offsets) - 1})")
+    return tuple(values[offsets.item(k):offsets.item(k + 1)].tolist())
+
+
+def _member_row(edge_rows, gadget_edge, j):
+    return edge_rows[gadget_edge.item(j)]
+
+
+def _gadget_row(num_edges, edge, c, delta, k):
+    if not 0 <= k < num_edges:
+        raise IndexError(f"row {k} out of range [0, {num_edges})")
+    # Keys of edge's own dtype: mixed dtypes would make searchsorted cast
+    # (copy) the whole array on every call.
+    lo, hi = np.searchsorted(edge, np.array((k, k + 1), dtype=edge.dtype)).tolist()
+    return [GadgetParams(ck, dk) for ck, dk in zip(c[lo:hi].tolist(), delta[lo:hi].tolist())]
+
+
+class _Rows(Sequence):
+    """Read-only list over a LazyView (`memo`): len, indexing, iteration
+    (which converts rows without memoizing them) and == with lists."""
+
+    def __init__(self, count, convert):
+        self.memo = LazyView(convert)
+        self._count = count
+
+    def __len__(self):
+        return self._count
+
+    def __getitem__(self, k):
+        if k < 0:
+            k += self._count
+        if not 0 <= k < self._count:
+            raise IndexError("row index out of range")
+        return self.memo[k]
+
+    def __iter__(self):
+        return map(self.memo._convert, range(self._count))
+
+    def __eq__(self, other):
+        if isinstance(other, (_Rows, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+class EdgeRows(_Rows):
+    """Hyperedges as tuples of node ids, over validated CSR arrays: offsets
+    (int64) and members (int32), every row >= 2 distinct ids."""
+
+    def __init__(self, offsets, members):
+        super().__init__(len(offsets) - 1, partial(_csr_row, offsets, members))
+        self.offsets = offsets
+        self.members = members
+
+
+class GadgetRows(_Rows):
+    """Per-edge GadgetParams lists over edge-major per-gadget arrays: edge
+    (int32, ascending), c and delta (float64, validated)."""
+
+    def __init__(self, num_edges, edge, c, delta):
+        super().__init__(num_edges, partial(_gadget_row, num_edges, edge, c, delta))
+        self.edge = edge
+        self.c = c
+        self.delta = delta
+
+
+def _uniform_gadgets(num_edges: int, gadget: GadgetParams) -> GadgetRows:
+    return GadgetRows(num_edges, np.arange(num_edges, dtype=np.int32),
+                      np.full(num_edges, gadget.c, dtype=np.float64),
+                      np.full(num_edges, gadget.delta, dtype=np.float64))
+
+
+class Hypergraph:
+    """Immutable hypergraph with per-edge gadget lists, stored as arrays.
+
+    Node ids are 0-based. Gadget j owns the auxiliary pair n + 2j, n + 2j + 1
+    of the solvers. Arrays:
+      edge_offsets, edge_members   CSR rows of the hyperedges (int64, int32);
+      gadget_edge, gadget_c, gadget_delta, gadget_wab   one entry per gadget,
+                                   edge-major (int32, float64);
+      incidence_offsets, incidence CSR rows of each node's gadget ids,
+                                   ascending (int64, int32);
+      degrees                      float64.
+    `hyperedges[k]` (a tuple of node ids) and `gadgets[k]` (a GadgetParams
+    list) are read-only list views. The solvers and the sweep read the
+    memoized views `incident_gadgets[v]`, `degree_of[v]`, `members_of[j]`,
+    `edge_of[j]`, `c_of[j]`, `wab_of[j]` and `delta_of[j]`, which hold
+    Python values for the keys read so far.
+
+    `hyperedges` and `gadgets` may be lists, or the views of another
+    Hypergraph (or of `_parse_edges`), whose arrays are then reused.
+    `gadgets=None` gives every edge one GadgetParams().
+    """
+
+    def __init__(self, num_nodes, hyperedges, gadgets=None):
         if num_nodes < 1:
             raise ValueError("hypergraph needs at least one node")
-        self.num_nodes = int(num_nodes)
-        edges = []
-        for e in hyperedges:
-            e = tuple(int(v) for v in e)
-            if len(e) < 2:
-                raise ValueError(f"hyperedge {e} has fewer than 2 nodes")
-            if len(set(e)) != len(e):
-                raise ValueError(f"duplicate node within hyperedge {e}")
-            for v in e:
-                if not (0 <= v < num_nodes):
-                    raise ValueError(f"node id {v} out of range [0, {num_nodes})")
-            edges.append(e)
-        self.hyperedges = edges
+        if num_nodes > MAX_NODES:
+            raise ValueError(f"at most {MAX_NODES} nodes (ids are stored as int32)")
+        n = self.num_nodes = int(num_nodes)
+        if isinstance(hyperedges, EdgeRows):
+            offsets, members = hyperedges.offsets, hyperedges.members
+            if len(members) and members.max() >= n:
+                _raise_edge_error(hyperedges, n)
+        else:
+            offsets, members = _edge_csr(hyperedges, n)
+        m = len(offsets) - 1
         if gadgets is None:
-            gadgets = [[GadgetParams()] for _ in edges]
-        gadgets = [list(gl) for gl in gadgets]
-        if len(gadgets) != len(edges):
-            raise ValueError("need exactly one gadget list per hyperedge")
-        for gl in gadgets:
-            if not gl:
-                raise ValueError("empty gadget list")
-        self.gadgets = gadgets
+            gadgets = _uniform_gadgets(m, GadgetParams())
+        if isinstance(gadgets, GadgetRows):
+            if len(gadgets) != m:
+                raise ValueError("need exactly one gadget list per hyperedge")
+            g_edge, g_c, g_delta = gadgets.edge, gadgets.c, gadgets.delta
+        else:
+            g_edge, g_c, g_delta = _gadget_arrays(gadgets, m)
 
-        self.max_edge_size = max((len(e) for e in edges), default=0)
-        # Flattened gadget arrays, edge-major. One (a, b) auxiliary pair each.
-        g_edge, g_c, g_wab, g_delta = [], [], [], []
-        for k, gl in enumerate(self.gadgets):
-            for g in gl:
-                g_edge.append(k)
-                g_c.append(g.c)
-                g_wab.append(g.c * g.delta)
-                g_delta.append(g.delta)
+        # Gadget-major (gadget, member) pairs. Each gadget adds
+        # c * min(1, |e| - 1, delta) = c to each member (|e| >= 2, delta >= 1);
+        # bincount adds in pair order, as a per-gadget `deg[v] += c` loop would.
+        sizes = np.diff(offsets)
+        g_sizes = sizes[g_edge]
+        pair_nodes = members[_row_positions(offsets[g_edge], g_sizes)]
+        pair_gadgets = np.repeat(np.arange(len(g_edge), dtype=np.int32), g_sizes)
+        deg = np.bincount(pair_nodes, weights=np.repeat(g_c, g_sizes),
+                          minlength=n).astype(np.float64, copy=False)  # int64 when empty
+        order = np.argsort(pair_nodes, kind="stable")
+
+        self.edge_offsets = offsets
+        self.edge_members = members
         self.gadget_edge = g_edge
         self.gadget_c = g_c
-        self.gadget_wab = g_wab
         self.gadget_delta = g_delta
-        self.num_gadgets = len(g_edge)
-
-        deg = np.zeros(self.num_nodes)
-        incident: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for j, k in enumerate(g_edge):
-            e = edges[k]
-            w = g_c[j] * min(1, len(e) - 1, g_delta[j])
-            for v in e:
-                deg[v] += w
-                incident[v].append(j)
+        self.gadget_wab = g_c * g_delta
+        self.incidence_offsets = _offsets(np.bincount(pair_nodes, minlength=n))
+        self.incidence = pair_gadgets[order]
         self.degrees = deg
-        self.incident_gadgets = incident
         self.total_volume = float(deg.sum())
+        self.num_gadgets = len(g_edge)
+        self.max_edge_size = int(sizes.max()) if m else 0
+        for arr in (offsets, members, g_edge, g_c, g_delta, self.gadget_wab,
+                    self.incidence_offsets, self.incidence, deg):
+            arr.flags.writeable = False  # the views memoize what they read
 
-    def gadget_members(self, j: int):
-        return self.hyperedges[self.gadget_edge[j]]
+        self.hyperedges = EdgeRows(offsets, members)
+        self.gadgets = GadgetRows(m, g_edge, g_c, g_delta)
+        edge_rows = self.hyperedges.memo
+        self.incident_gadgets = LazyView(partial(_csr_row, self.incidence_offsets,
+                                                 self.incidence))
+        self.members_of = LazyView(partial(_member_row, edge_rows, g_edge))
+        self.degree_of = LazyView(deg.item)
+        self.edge_of = LazyView(g_edge.item)
+        self.c_of = LazyView(g_c.item)
+        self.wab_of = LazyView(self.gadget_wab.item)
+        self.delta_of = LazyView(g_delta.item)
 
     def edge_penalty(self, k: int, in_count: int) -> float:
-        return splitting_penalty(self.gadgets[k], in_count, len(self.hyperedges[k]))
+        return splitting_penalty(self.gadgets.memo[k], in_count,
+                                 len(self.hyperedges.memo[k]))
 
     def volume(self, nodes) -> float:
-        return float(sum(self.degrees[v] for v in set(nodes)))
+        return float(sum(self.degree_of[v] for v in set(nodes)))
 
     def __repr__(self):
         return (f"Hypergraph(n={self.num_nodes}, m={len(self.hyperedges)}, "
                 f"gadgets={self.num_gadgets}, vol={self.total_volume:g})")
 
 
+def _offsets(counts):
+    """CSR offsets (int64, leading 0) of the given row lengths."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _row_positions(starts, lengths):
+    """Concatenation of range(s, s + l) over (starts, lengths)."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - lengths), lengths)
+
+
+def _bad_rows(offsets, ids, n):
+    """Per CSR row: fewer than 2 ids, an id outside [0, n), or a repeated id."""
+    sizes = np.diff(offsets)
+    bad = sizes < 2
+    row = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    bad[row[(ids < 0) | (ids >= n)]] = True
+    # A strictly ascending row repeats no id; only the other rows are sorted.
+    unsorted = np.zeros(len(sizes), dtype=bool)
+    unsorted[row[1:][(row[1:] == row[:-1]) & (ids[1:] <= ids[:-1])]] = True
+    if unsorted.any():
+        sel = unsorted[row]
+        r, v = row[sel], ids[sel]
+        order = np.lexsort((v, r))
+        r, v = r[order], v[order]
+        bad[r[1:][(r[1:] == r[:-1]) & (v[1:] == v[:-1])]] = True
+    return bad
+
+
+def _edge_csr(hyperedges, n):
+    """Validated (offsets, int32 members) of an iterable of node-id sequences."""
+    edges = list(map(tuple, hyperedges))
+    sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
+    try:
+        ids = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=int(sizes.sum()))
+    except (TypeError, ValueError, OverflowError):
+        _raise_edge_error(edges, n)
+    offsets = _offsets(sizes)
+    if _bad_rows(offsets, ids, n).any():
+        _raise_edge_error(edges, n)
+    return offsets, ids.astype(np.int32)
+
+
+def _raise_edge_error(edges, n):
+    """Raise the error the per-edge check gives for the first bad edge."""
+    for e in edges:
+        e = tuple(int(v) for v in e)
+        if len(e) < 2:
+            raise ValueError(f"hyperedge {e} has fewer than 2 nodes")
+        if len(set(e)) != len(e):
+            raise ValueError(f"duplicate node within hyperedge {e}")
+        for v in e:
+            if not (0 <= v < n):
+                raise ValueError(f"node id {v} out of range [0, {n})")
+    raise RuntimeError("the vectorized edge check rejected edges the per-edge check accepts")
+
+
+def _gadget_arrays(gadgets, m):
+    """(edge, c, delta) arrays of per-edge lists (or tuples) of GadgetParams."""
+    rows = list(gadgets)
+    if len(rows) != m:
+        raise ValueError("need exactly one gadget list per hyperedge")
+    counts = np.fromiter(map(len, rows), dtype=np.int64, count=m)
+    if m and counts.min() == 0:
+        raise ValueError("empty gadget list")
+    flat = list(chain.from_iterable(rows))
+    c = np.fromiter((g.c for g in flat), dtype=np.float64, count=len(flat))
+    delta = np.fromiter((g.delta for g in flat), dtype=np.float64, count=len(flat))
+    return np.repeat(np.arange(m, dtype=np.int32), counts), c, delta
+
+
 def cut_value(h: Hypergraph, s) -> float:
+    """Total penalty of the edges s splits. Reads only the edges incident to
+    s, and adds their penalties in ascending edge order."""
     s = set(s)
+    edges = set()
+    for v in s:
+        if 0 <= v < h.num_nodes:
+            for j in h.incident_gadgets[v]:
+                edges.add(h.edge_of[j])
     total = 0.0
-    for k, e in enumerate(h.hyperedges):
+    for k in sorted(edges):
+        e = h.hyperedges.memo[k]
         inc = sum(1 for v in e if v in s)
-        if 0 < inc < len(e):
+        if inc < len(e):
             total += h.edge_penalty(k, inc)
     return total
 
@@ -165,15 +369,101 @@ def parse_hypergraph(text: str, default_c: float = 1.0, default_delta: float = 1
 
     Raises HypergraphFormatError on a malformed header, a non-numeric token, a
     node id out of range, a duplicate node within an edge, an edge of size < 2,
-    or a wrong number of edge lines.
+    or a wrong number of edge lines. Numbers are ASCII digits with an optional
+    sign; num_nodes is at most MAX_NODES.
     """
     n, edges = _parse_edges(text)
     gadget = GadgetParams(default_c, default_delta)
-    return Hypergraph(n, edges, [[gadget] for _ in edges])
+    return Hypergraph(n, edges, _uniform_gadgets(len(edges), gadget))
+
+
+# Byte kinds of the vectorized .hgr pass. The breaks are the ASCII characters
+# str.splitlines() ends a line at, the spaces the other ones str.split()
+# separates at; the non-ASCII ones are first mapped onto "\n" and " ".
+_DIGIT, _PLUS, _OTHER, _SPACE, _BREAK = range(5)
+_BYTE_KIND = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_KIND[np.frombuffer(b"0123456789", np.uint8)] = _DIGIT
+_BYTE_KIND[ord("+")] = _PLUS
+_BYTE_KIND[np.frombuffer(b" \t\x1f", np.uint8)] = _SPACE
+_BYTE_KIND[np.frombuffer(b"\n\r\x0b\x0c\x1c\x1d\x1e", np.uint8)] = _BREAK
+_UNICODE_WHITESPACE = str.maketrans(
+    dict.fromkeys("\x85\u2028\u2029", "\n")
+    | dict.fromkeys("\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
+                    "\u2008\u2009\u200a\u202f\u205f\u3000", " "))
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
 def _parse_edges(text: str):
-    """The text half of parse_hypergraph: (num_nodes, 0-based edge tuples)."""
+    """The text half of parse_hypergraph: (num_nodes, EdgeRows of 0-based ids)."""
+    parsed = _scan_hgr(text)
+    if parsed is None:
+        _raise_format_error(text)
+    return parsed
+
+
+def _scan_hgr(text: str):
+    """Vectorized .hgr parse: (num_nodes, EdgeRows), or None if the text is
+    not a valid hypergraph (then _raise_format_error says why)."""
+    if not text.isascii():
+        text = text.translate(_UNICODE_WHITESPACE)
+    data = text.encode()
+    buf = np.frombuffer(data, dtype=np.uint8)
+    kind = _BYTE_KIND[buf]
+    step = np.diff((kind < _SPACE).view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    starts = np.flatnonzero(step == 1)
+    ends = np.flatnonzero(step == -1)
+    line = np.searchsorted(np.flatnonzero(kind == _BREAK), starts)
+    # A line whose first token starts with "%" is a comment.
+    first = np.ones(len(starts), dtype=bool)
+    first[1:] = line[1:] != line[:-1]
+    comment = first & (buf[starts] == ord("%"))
+    first_of_line = np.maximum.accumulate(np.where(first, np.arange(len(starts)), 0))
+    content = np.flatnonzero(~comment[first_of_line])
+    if len(content) < 2 or line[content[1]] != line[content[0]] or (
+            len(content) > 2 and line[content[2]] == line[content[0]]):
+        return None  # no header line of exactly two tokens
+    header = [data[starts[t]:ends[t]] for t in content[:2].tolist()]
+    if not all(_INT_TOKEN.fullmatch(tok.decode()) for tok in header):
+        return None
+    n, m = int(header[0]), int(header[1])
+    if not (1 <= n <= MAX_NODES and m >= 0):
+        return None
+
+    body = content[2:]
+    values = np.zeros(0, dtype=np.int64)
+    if len(body):
+        lo, hi = starts[body[0]], ends[body[-1]]
+        mark = np.zeros(hi - lo + 1, dtype=np.int8)
+        mark[starts[body] - lo] = 1
+        mark[ends[body] - lo] = -1
+        inside = np.cumsum(mark[:-1], dtype=np.int8).view(bool)
+        # Edge tokens are ASCII digits, with at most a leading "+".
+        span = kind[lo:hi]
+        plus = (mark[:-1] == 1) & (span == _PLUS) & np.append(span[1:] == _DIGIT, False)
+        if (inside & (span != _DIGIT) & ~plus).any():
+            return None
+        # The edge tokens, with everything between them blanked, read in C.
+        values = np.fromstring(np.where(inside, buf[lo:hi], np.uint8(32)).tobytes(),
+                               dtype=np.int64, sep=" ")
+        if len(values) != len(body):
+            return None
+
+    body_line = line[body]
+    new_row = np.ones(len(body), dtype=bool)
+    new_row[1:] = body_line[1:] != body_line[:-1]
+    row_starts = np.flatnonzero(new_row)
+    if len(row_starts) != m:
+        return None
+    offsets = np.append(row_starts, len(body)).astype(np.int64)
+    ids = values - 1
+    if _bad_rows(offsets, ids, n).any():
+        return None
+    return n, EdgeRows(offsets, ids.astype(np.int32))
+
+
+def _raise_format_error(text: str):
+    """The line-by-line check of the format: raises the error of the first
+    bad line (or the edge count). Runs only when _scan_hgr rejects the text."""
     it = _tokens(text)
     try:
         ln, header = next(it)
@@ -181,19 +471,19 @@ def _parse_edges(text: str):
         raise HypergraphFormatError("empty input: missing header line") from None
     if len(header) != 2:
         raise HypergraphFormatError(f"line {ln}: header must be '<num_nodes> <num_edges>'")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise HypergraphFormatError(f"line {ln}: non-numeric header token") from None
+    if not all(map(_INT_TOKEN.fullmatch, header)):
+        raise HypergraphFormatError(f"line {ln}: non-numeric header token")
+    n, m = int(header[0]), int(header[1])
     if n < 1 or m < 0:
         raise HypergraphFormatError(f"line {ln}: invalid header values {n} {m}")
+    if n > MAX_NODES:
+        raise HypergraphFormatError(f"line {ln}: {n} nodes exceed the limit {MAX_NODES}")
 
-    edges = []
+    count = 0
     for ln, toks in it:
-        try:
-            ids = [int(t) for t in toks]
-        except ValueError:
-            raise HypergraphFormatError(f"line {ln}: non-numeric node id") from None
+        if not all(map(_INT_TOKEN.fullmatch, toks)):
+            raise HypergraphFormatError(f"line {ln}: non-numeric node id")
+        ids = [int(t) for t in toks]
         if len(ids) < 2:
             raise HypergraphFormatError(f"line {ln}: hyperedge has fewer than 2 nodes")
         seen = set()
@@ -203,10 +493,10 @@ def _parse_edges(text: str):
             if v in seen:
                 raise HypergraphFormatError(f"line {ln}: duplicate node {v} in hyperedge")
             seen.add(v)
-        edges.append(tuple(v - 1 for v in ids))
-    if len(edges) != m:
-        raise HypergraphFormatError(f"header promised {m} hyperedges, found {len(edges)}")
-    return n, edges
+        count += 1
+    if count != m:
+        raise HypergraphFormatError(f"header promised {m} hyperedges, found {count}")
+    raise RuntimeError("the vectorized .hgr parse rejected a text the line check accepts")
 
 
 def parse_gadget_lines(text: str, num_edges: int):

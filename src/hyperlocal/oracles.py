@@ -273,7 +273,7 @@ def _residuals_from_vector(h: Hypergraph, seeds, cfg, x):
     for v in range(n):
         acc = 0.0
         for j in h.incident_gadgets[v]:
-            c = h.gadget_c[j]
+            c = h.c_of[j]
             xa = x[n + 2 * j]
             xb = x[n + 2 * j + 1]
             if xb > x[v]:
@@ -285,14 +285,14 @@ def _residuals_from_vector(h: Hypergraph, seeds, cfg, x):
         g_node[v] = acc / cfg.gamma + h.degrees[v] * seedterm
     aux = np.zeros((h.num_gadgets, 2))
     for j in range(h.num_gadgets):
-        c = h.gadget_c[j]
-        wab = h.gadget_wab[j]
+        c = h.c_of[j]
+        wab = h.wab_of[j]
         xa = x[n + 2 * j]
         xb = x[n + 2 * j + 1]
         gap = _pow(xa - xb, q) if xa > xb else 0.0
         ra = -wab * gap
         rb = wab * gap
-        for v in h.gadget_members(j):
+        for v in h.members_of[j]:
             if x[v] > xa:
                 ra += c * _pow(x[v] - xa, q)
             if xb > x[v]:
@@ -304,12 +304,12 @@ def _residuals_from_vector(h: Hypergraph, seeds, cfg, x):
 def _gadget_arc_lists(h: Hypergraph, j: int, n: int):
     a = n + 2 * j
     b = a + 1
-    c = h.gadget_c[j]
-    members = h.gadget_members(j)
-    outs_a = [(b, h.gadget_wab[j])]
+    c = h.c_of[j]
+    members = h.members_of[j]
+    outs_a = [(b, h.wab_of[j])]
     ins_a = [(v, c) for v in members]
     outs_b = [(v, c) for v in members]
-    ins_b = [(a, h.gadget_wab[j])]
+    ins_b = [(a, h.wab_of[j])]
     return a, b, outs_a, ins_a, outs_b, ins_b
 
 
@@ -352,7 +352,7 @@ def _one_node_residual(h: Hypergraph, seeds_set, cfg, full, v: int, value: float
     n = h.num_nodes
     acc = 0.0
     for j in h.incident_gadgets[v]:
-        c = h.gadget_c[j]
+        c = h.c_of[j]
         xa = full[n + 2 * j]
         xb = full[n + 2 * j + 1]
         if xb > value:

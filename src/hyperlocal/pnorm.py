@@ -81,11 +81,11 @@ def pnorm_aux_residuals(h: Hypergraph, state, cfg: DiffusionConfig, j: int):
     xa = x.get(a, 0.0)
     xb = x.get(b, 0.0)
     q = cfg.p - 1.0
-    c = h.gadget_c[j]
-    core = h.gadget_wab[j] * _gap(xa - xb, q)
+    c = h.c_of[j]
+    core = h.wab_of[j] * _gap(xa - xb, q)
     ra = -core
     rb = core
-    for v in h.gadget_members(j):
+    for v in h.members_of[j]:
         xv = x.get(v, 0.0)
         ra += c * _gap(xv - xa, q)
         rb -= c * _gap(xb - xv, q)
@@ -99,9 +99,9 @@ def _scan(h, state, cfg, i):
     adjacent = []
     for j in h.incident_gadgets[i]:
         a = n + 2 * j
-        adjacent.append((h.gadget_c[j], x.get(a, 0.0), x.get(a + 1, 0.0)))
+        adjacent.append((h.c_of[j], x.get(a, 0.0), x.get(a + 1, 0.0)))
     ind = 1.0 if i in state.seeds else 0.0
-    ri = _residual_at(cfg, adjacent, ind, h.degrees[i], xi)
+    ri = _residual_at(cfg, adjacent, ind, h.degree_of[i], xi)
     return ri, adjacent, None
 
 
@@ -335,10 +335,10 @@ def pnorm_auxpush(h: Hypergraph, state, cfg: DiffusionConfig, j: int,
     """
     x = state.x
     a, b = aux_ids(h, j)
-    c = h.gadget_c[j]
-    wab = h.gadget_wab[j]
+    c = h.c_of[j]
+    wab = h.wab_of[j]
     q = cfg.p - 1.0
-    members = h.gadget_members(j)
+    members = h.members_of[j]
     state.touched_gadgets.add(j)
     xa0 = x.get(a, 0.0)
     xb0 = x.get(b, 0.0)
@@ -391,7 +391,7 @@ def pnorm_auxpush(h: Hypergraph, state, cfg: DiffusionConfig, j: int,
             if bump > 0.0:
                 rv = state.r.get(v, 0.0) + bump / gamma
                 state.r[v] = rv
-                if v not in state.in_queue and rv > cfg.kappa * h.degrees[v] * thresh:
+                if v not in state.in_queue and rv > cfg.kappa * h.degree_of[v] * thresh:
                     state.queue.append(v)
                     state.in_queue.add(v)
     state.aux_pushes += 1

@@ -84,13 +84,13 @@ def init_state(h: Hypergraph, seeds, cfg: DiffusionConfig) -> DiffusionState:
     for v in seeds:
         if not (0 <= v < h.num_nodes):
             raise ValueError(f"seed {v} out of range")
-        if h.degrees[v] <= 0:
+        if h.degree_of[v] <= 0:
             raise ValueError(f"seed {v} has zero degree")
     state = DiffusionState(seeds=frozenset(seeds))
-    state.seed_volume = float(sum(h.degrees[v] for v in seeds))
+    state.seed_volume = float(sum(h.degree_of[v] for v in seeds))
     thresh = 1.0 + VIOLATION_GUARD
     for v in seeds:
-        d = h.degrees[v]
+        d = h.degree_of[v]
         state.r[v] = d
         if d > cfg.kappa * d * thresh:
             state.queue.append(v)
@@ -105,7 +105,7 @@ def node_residual(h: Hypergraph, state: DiffusionState, cfg: DiffusionConfig, i:
     n = h.num_nodes
     acc = 0.0
     for j in h.incident_gadgets[i]:
-        c = h.gadget_c[j]
+        c = h.c_of[j]
         a = n + 2 * j
         xa = x.get(a, 0.0)
         xb = x.get(a + 1, 0.0)
@@ -114,7 +114,7 @@ def node_residual(h: Hypergraph, state: DiffusionState, cfg: DiffusionConfig, i:
         if xi > xa:
             acc -= c * (xi - xa)
     ind = 1.0 if i in state.seeds else 0.0
-    return acc / cfg.gamma + h.degrees[i] * (ind - xi)
+    return acc / cfg.gamma + h.degree_of[i] * (ind - xi)
 
 
 def aux_residuals(h: Hypergraph, state: DiffusionState, j: int):
@@ -123,11 +123,11 @@ def aux_residuals(h: Hypergraph, state: DiffusionState, j: int):
     a, b = aux_ids(h, j)
     xa = x.get(a, 0.0)
     xb = x.get(b, 0.0)
-    c = h.gadget_c[j]
-    wab = h.gadget_wab[j]
+    c = h.c_of[j]
+    wab = h.wab_of[j]
     ra = -wab * (xa - xb)
     rb = wab * (xa - xb)
-    for v in h.gadget_members(j):
+    for v in h.members_of[j]:
         xv = x.get(v, 0.0)
         if xv > xa:
             ra += c * (xv - xa)
@@ -152,7 +152,7 @@ def _scan_node(h, state, cfg, i):
     a_min = b_min = math.inf
     adjacent = []
     for j in h.incident_gadgets[i]:
-        c = h.gadget_c[j]
+        c = h.c_of[j]
         a = n + 2 * j
         xa = x.get(a, 0.0)
         xb = x.get(a + 1, 0.0)
@@ -168,7 +168,7 @@ def _scan_node(h, state, cfg, i):
         elif xa < a_min:
             a_min = xa
     ind = 1.0 if i in state.seeds else 0.0
-    ri = acc / cfg.gamma + h.degrees[i] * (ind - xi)
+    ri = acc / cfg.gamma + h.degree_of[i] * (ind - xi)
     return ri, adjacent, (s_a, s_b, a_min, b_min)
 
 
@@ -215,7 +215,7 @@ def _solve_push_amount(cfg, xi, ri, di, adjacent, caches):
 
 def hyperpush(h: Hypergraph, state: DiffusionState, cfg: DiffusionConfig, i: int) -> float:
     """Raise x_i so its residual falls to rho*kappa*d_i; returns Delta x_i."""
-    di = h.degrees[i]
+    di = h.degree_of[i]
     ri, adjacent, caches = _scan_node(h, state, cfg, i)
     if ri <= cfg.kappa * di:
         raise ValueError(f"hyperpush on non-violating node {i} (r={ri:g}, kd={cfg.kappa * di:g})")
@@ -245,9 +245,9 @@ def auxpush(h: Hypergraph, state: DiffusionState, cfg: DiffusionConfig, j: int,
     x = state.x
     a = h.num_nodes + 2 * j
     b = a + 1
-    c = h.gadget_c[j]
-    wab = h.gadget_wab[j]
-    members = h.gadget_members(j)
+    c = h.c_of[j]
+    wab = h.wab_of[j]
+    members = h.members_of[j]
     state.touched_gadgets.add(j)
     xa0 = x.get(a, 0.0)
     xb0 = x.get(b, 0.0)
@@ -321,7 +321,7 @@ def auxpush(h: Hypergraph, state: DiffusionState, cfg: DiffusionConfig, j: int,
             if bump > 0.0:
                 rv = state.r.get(v, 0.0) + bump / gamma
                 state.r[v] = rv
-                if v not in state.in_queue and rv > cfg.kappa * h.degrees[v] * thresh:
+                if v not in state.in_queue and rv > cfg.kappa * h.degree_of[v] * thresh:
                     state.queue.append(v)
                     state.in_queue.add(v)
     state.aux_pushes += 1
@@ -342,7 +342,7 @@ def _drive(h, seeds, cfg, scan, push, auxpush, on_event=None) -> SolveResult:
     while queue:
         i = queue.popleft()
         state.in_queue.discard(i)
-        di = h.degrees[i]
+        di = h.degree_of[i]
         ri, adjacent, caches = scan(h, state, cfg, i)
         if ri <= cfg.kappa * di * thresh:
             state.r[i] = ri

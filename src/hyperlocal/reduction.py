@@ -33,13 +33,13 @@ def build_reduced_graph(h: Hypergraph) -> ReducedGraph:
     for j in range(h.num_gadgets):
         a = n + 2 * j
         b = n + 2 * j + 1
-        c = h.gadget_c[j]
-        members = h.gadget_members(j)
+        c = h.c_of[j]
+        members = h.members_of[j]
         for v in members:
             arcs.append((v, a, c))
         for v in members:
             arcs.append((b, v, c))
-        arcs.append((a, b, h.gadget_wab[j]))
+        arcs.append((a, b, h.wab_of[j]))
         aux_pairs.append((a, b))
     node_count = n + 2 * h.num_gadgets
     deg = np.zeros(node_count)

@@ -53,7 +53,7 @@ def sweepcut(h: Hypergraph, x) -> SweepProfile:
     items.sort(key=lambda t: (-t[1], t[0]))
 
     total = h.total_volume
-    gadget_edge = h.gadget_edge
+    edge_of = h.edge_of
     in_count: dict[int, int] = {}
     cut = 0.0
     vol = 0.0
@@ -69,7 +69,7 @@ def sweepcut(h: Hypergraph, x) -> SweepProfile:
         # in the incidence list and the edges come in ascending order.
         prev = -1
         for j in h.incident_gadgets[v]:
-            k = gadget_edge[j]
+            k = edge_of[j]
             if k == prev:
                 continue
             prev = k
@@ -77,7 +77,7 @@ def sweepcut(h: Hypergraph, x) -> SweepProfile:
             cut -= h.edge_penalty(k, count)
             in_count[k] = count + 1
             cut += h.edge_penalty(k, count + 1)
-        vol += h.degrees[v]
+        vol += h.degree_of[v]
         order.append(v)
         x_values.append(val)
         vols.append(vol)
@@ -117,13 +117,13 @@ def boundary_delta_bar(h: Hypergraph, s) -> float:
         if not 0 <= v < h.num_nodes:
             continue
         for j in h.incident_gadgets[v]:
-            k = h.gadget_edge[j]
-            d = float(h.gadget_delta[j])
+            k = h.edge_of[j]
+            d = h.delta_of[j]
             if d > edge_delta.get(k, 0.0):
                 edge_delta[k] = d
     best = 0.0
     for k, d in edge_delta.items():
-        edge = h.hyperedges[k]
+        edge = h.hyperedges.memo[k]
         inside = sum(1 for v in edge if v in s)
         if inside < len(edge):
             val = min(d, len(edge) / 2.0)

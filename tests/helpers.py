@@ -3,7 +3,9 @@ across test modules."""
 
 import math
 
-from hyperlocal.hypergraph import GadgetParams, Hypergraph
+import numpy as np
+
+from hyperlocal.hypergraph import GadgetParams, Hypergraph, HypergraphFormatError, splitting_penalty
 from hyperlocal.pnorm import _residual_at
 from hyperlocal.sweep import SweepProfile
 from hyperlocal.synth import SplitMix64
@@ -166,3 +168,119 @@ def bisection_settle_pair(member_x, c, wab, q, xa0, xb0, tol):
     xa = 0.5 * (lo + hi)
     xb, _ = pair_at(xa)
     return max(xa, xa0), max(min(xb, xa), xb0)
+
+
+# ---------------------------------------------------------------------------
+# The list-based data model the columnar Hypergraph replaced, kept as the
+# reference its parser, arrays and cuts are compared against.
+
+
+def reference_tokens(text):
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        yield ln, line.split()
+
+
+def reference_parse_edges(text):
+    """Line-by-line .hgr parse: (num_nodes, list of 0-based edge tuples)."""
+    it = reference_tokens(text)
+    try:
+        ln, header = next(it)
+    except StopIteration:
+        raise HypergraphFormatError("empty input: missing header line") from None
+    if len(header) != 2:
+        raise HypergraphFormatError(f"line {ln}: header must be '<num_nodes> <num_edges>'")
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError:
+        raise HypergraphFormatError(f"line {ln}: non-numeric header token") from None
+    if n < 1 or m < 0:
+        raise HypergraphFormatError(f"line {ln}: invalid header values {n} {m}")
+
+    edges = []
+    for ln, toks in it:
+        try:
+            ids = [int(t) for t in toks]
+        except ValueError:
+            raise HypergraphFormatError(f"line {ln}: non-numeric node id") from None
+        if len(ids) < 2:
+            raise HypergraphFormatError(f"line {ln}: hyperedge has fewer than 2 nodes")
+        seen = set()
+        for v in ids:
+            if not (1 <= v <= n):
+                raise HypergraphFormatError(f"line {ln}: node id {v} out of range [1, {n}]")
+            if v in seen:
+                raise HypergraphFormatError(f"line {ln}: duplicate node {v} in hyperedge")
+            seen.add(v)
+        edges.append(tuple(v - 1 for v in ids))
+    if len(edges) != m:
+        raise HypergraphFormatError(f"header promised {m} hyperedges, found {len(edges)}")
+    return n, edges
+
+
+class ReferenceHypergraph:
+    """Python lists per edge, per gadget and per node, built by loops."""
+
+    def __init__(self, num_nodes, hyperedges, gadgets=None):
+        if num_nodes < 1:
+            raise ValueError("hypergraph needs at least one node")
+        self.num_nodes = int(num_nodes)
+        edges = []
+        for e in hyperedges:
+            e = tuple(int(v) for v in e)
+            if len(e) < 2:
+                raise ValueError(f"hyperedge {e} has fewer than 2 nodes")
+            if len(set(e)) != len(e):
+                raise ValueError(f"duplicate node within hyperedge {e}")
+            for v in e:
+                if not (0 <= v < num_nodes):
+                    raise ValueError(f"node id {v} out of range [0, {num_nodes})")
+            edges.append(e)
+        self.hyperedges = edges
+        if gadgets is None:
+            gadgets = [[GadgetParams()] for _ in edges]
+        gadgets = [list(gl) for gl in gadgets]
+        if len(gadgets) != len(edges):
+            raise ValueError("need exactly one gadget list per hyperedge")
+        for gl in gadgets:
+            if not gl:
+                raise ValueError("empty gadget list")
+        self.gadgets = gadgets
+        g_edge, g_c, g_wab, g_delta = [], [], [], []
+        for k, gl in enumerate(gadgets):
+            for g in gl:
+                g_edge.append(k)
+                g_c.append(g.c)
+                g_wab.append(g.c * g.delta)
+                g_delta.append(g.delta)
+        self.gadget_edge = g_edge
+        self.gadget_c = g_c
+        self.gadget_wab = g_wab
+        self.gadget_delta = g_delta
+        deg = np.zeros(self.num_nodes)
+        incident = [[] for _ in range(self.num_nodes)]
+        for j, k in enumerate(g_edge):
+            e = edges[k]
+            w = g_c[j] * min(1, len(e) - 1, g_delta[j])
+            for v in e:
+                deg[v] += w
+                incident[v].append(j)
+        self.degrees = deg
+        self.incident_gadgets = incident
+        self.total_volume = float(deg.sum())
+
+    def edge_penalty(self, k, in_count):
+        return splitting_penalty(self.gadgets[k], in_count, len(self.hyperedges[k]))
+
+
+def full_scan_cut_value(h, s):
+    """Reference cut: every hyperedge of h, in ascending order."""
+    s = set(s)
+    total = 0.0
+    for k, e in enumerate(h.hyperedges):
+        inc = sum(1 for v in e if v in s)
+        if 0 < inc < len(e):
+            total += h.edge_penalty(k, inc)
+    return total

@@ -1,13 +1,25 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import (
+    ReferenceHypergraph,
+    full_scan_cut_value,
+    reference_parse_edges,
+)
 from hyperlocal.hypergraph import (
+    _BREAK,
+    _BYTE_KIND,
+    _SPACE,
+    _UNICODE_WHITESPACE,
+    MAX_NODES,
     GadgetParams,
     Hypergraph,
     HypergraphFormatError,
+    _parse_edges,
     conductance,
     cut_value,
     format_hgr,
@@ -169,6 +181,12 @@ def small_hypergraphs(draw, max_n=9, max_m=5):
 def test_cut_complement_symmetry(h, mask):
     s = {v for v in range(h.num_nodes) if mask >> v & 1}
     comp = set(range(h.num_nodes)) - s
+    for side in (s, comp):
+        # The incident-edge cut adds the same penalties in the same order as
+        # the scan over all edges, so the two agree exactly.
+        assert cut_value(h, side) == full_scan_cut_value(h, side)
+        assert set_metrics(h, side)[:2] == (full_scan_cut_value(h, side),
+                                            float(sum(h.degrees[v] for v in side)))
     assert cut_value(h, s) == pytest.approx(cut_value(h, comp), abs=1e-12)
     assert conductance(h, s) == pytest.approx(conductance(h, comp), abs=1e-12) \
         or (math.isinf(conductance(h, s)) and math.isinf(conductance(h, comp)))
@@ -202,3 +220,178 @@ def test_large_delta_is_plain_min(size):
     gl = [GadgetParams(1.0, float(delta))]
     for k in range(size + 1):
         assert splitting_penalty(gl, k, size) == min(k, size - k)
+
+
+# ---------------------------------------------------------------------------
+# The columnar build and the vectorized parser against the list-based
+# reference (tests/helpers.py)
+
+
+def assert_same_as_reference(h, ref):
+    """Every array and view of h equals the reference, floats bit for bit."""
+    n, m = ref.num_nodes, len(ref.hyperedges)
+    assert h.num_nodes == n
+    assert list(h.hyperedges) == ref.hyperedges == [h.hyperedges[k] for k in range(m)]
+    assert list(h.gadgets) == ref.gadgets == [h.gadgets[k] for k in range(m)]
+    assert h.degrees.tobytes() == ref.degrees.tobytes()
+    assert h.total_volume == ref.total_volume
+    assert h.gadget_edge.tolist() == ref.gadget_edge
+    for name in ("gadget_c", "gadget_wab", "gadget_delta"):
+        assert getattr(h, name).tobytes() == np.array(getattr(ref, name), dtype=float).tobytes()
+    assert [list(h.incident_gadgets[v]) for v in range(n)] == ref.incident_gadgets
+    assert [h.members_of[j] for j in range(h.num_gadgets)] == \
+        [ref.hyperedges[k] for k in ref.gadget_edge]
+    for j in range(h.num_gadgets):
+        assert (h.edge_of[j], h.c_of[j], h.wab_of[j], h.delta_of[j]) == \
+            (ref.gadget_edge[j], ref.gadget_c[j], ref.gadget_wab[j], ref.gadget_delta[j])
+    assert all(type(h.degree_of[v]) is float and h.degree_of[v] == ref.degrees[v]
+               for v in range(n))
+    for k, e in enumerate(ref.hyperedges):
+        for inside in range(len(e) + 1):
+            assert h.edge_penalty(k, inside) == ref.edge_penalty(k, inside)
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges, per-edge gadget rows) with 1-3 gadgets per edge."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    m = draw(st.integers(min_value=0, max_value=8))
+    edges, rows = [], []
+    for _ in range(m):
+        size = draw(st.integers(min_value=2, max_value=min(6, n)))
+        edges.append(tuple(draw(st.permutations(range(n)))[:size]))
+        rows.append([GadgetParams(draw(st.sampled_from([1.0, 0.5, 0.1, 3.0])),
+                                  draw(st.sampled_from([1.0, 1.5, 2.0, 7.0])))
+                     for _ in range(draw(st.integers(min_value=1, max_value=3)))])
+    return n, edges, rows
+
+
+@given(edge_lists())
+@settings(max_examples=150, deadline=None)
+def test_columnar_build_matches_list_reference(case):
+    n, edges, rows = case
+    ref = ReferenceHypergraph(n, edges, rows)
+    h = Hypergraph(n, edges, rows)
+    assert_same_as_reference(h, ref)
+    # Built again from h's own views, the arrays are reused as they are.
+    again = Hypergraph(n, h.hyperedges, h.gadgets)
+    assert again.edge_members is h.edge_members and again.gadget_c is h.gadget_c
+    assert_same_as_reference(again, ref)
+    assert_same_as_reference(Hypergraph(n, h.hyperedges, rows), ref)
+    assert_same_as_reference(Hypergraph(n, edges), ReferenceHypergraph(n, edges))
+
+
+@pytest.mark.parametrize("n, edges", [
+    (3, [(0, 1), (2,)]),               # short edge
+    (3, [(0, 1), (1, 2, 1)]),          # duplicate within an edge
+    (3, [(0, 1, 5, 1)]),               # duplicate wins over out of range
+    (3, [(0, -1)]),                    # negative id
+    (3, [(0, 2 ** 70)]),               # beyond int64
+    (3, [(0.0, 1.0), (1, 3)]),         # int() of floats, then out of range
+    (3, [("0", "x")]),                 # not a number
+])
+def test_edge_list_errors_match_reference(n, edges):
+    with pytest.raises(ValueError) as want:
+        ReferenceHypergraph(n, edges)
+    with pytest.raises(ValueError) as got:
+        Hypergraph(n, edges)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+def test_reused_edge_view_is_checked_against_the_node_count():
+    h = Hypergraph(5, [(0, 4), (1, 2)])
+    with pytest.raises(ValueError, match=r"^node id 4 out of range \[0, 3\)$"):
+        Hypergraph(3, h.hyperedges)
+
+
+_LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028"]
+_SPACES = [" ", "  ", "\t", " \t ", "\x1f", "\xa0", "\u3000"]
+_COMMENTS = ["%", "% a comment", "%%1 2 3", "  % caf\xe9 1 x", "\t%\t-3"]
+_BAD_TOKENS = ["x", "1x", "+", "-", "+-1", "1.0", "0", "-1", "-0", "9" * 25, "1%", "%1",
+               "\x00", "\xe9"]
+
+
+@st.composite
+def hgr_texts(draw):
+    """.hgr text, valid or not: random ids, signs, zero padding, separators,
+    line endings, blank and comment lines, and now and then a bad token, a
+    short or repeated edge, a bad header or a wrong edge count."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    m = draw(st.integers(min_value=0, max_value=5))
+    bad = draw(st.booleans())
+
+    def token(v):
+        if bad and draw(st.integers(min_value=0, max_value=14)) == 0:
+            return draw(st.sampled_from(_BAD_TOKENS + [str(n + 1)]))
+        return draw(st.sampled_from(["", "+", "0", "00", "+0"])) + str(v)
+
+    header = [str(n), str(m)]
+    if bad and draw(st.integers(min_value=0, max_value=5)) == 0:
+        header = draw(st.sampled_from([[str(n)], header + ["1"], ["x", str(m)],
+                                       ["0", str(m)], [str(n), "-1"], ["+" + str(n), "0" + str(m)]]))
+    lines = [header]
+    count = m + (draw(st.sampled_from([-1, 1])) if bad and m and draw(st.booleans()) else 0)
+    for _ in range(count if n >= 2 else 0):
+        size = draw(st.integers(min_value=2, max_value=min(n, 5)))
+        ids = list(draw(st.permutations(range(1, n + 1)))[:size])
+        if bad and draw(st.integers(min_value=0, max_value=6)) == 0:
+            ids = draw(st.sampled_from([ids[:1], ids + ids[:1]]))
+        lines.append([token(v) for v in ids])
+    out = []
+    for toks in lines:
+        for _ in range(draw(st.integers(min_value=0, max_value=1))):
+            out.append(draw(st.sampled_from(["", " ", "\t"] + _COMMENTS)))
+        sep = draw(st.sampled_from(_SPACES))
+        out.append(draw(st.sampled_from(["", " "])) + sep.join(toks) + draw(st.sampled_from(["", " \t"])))
+    ends = [draw(st.sampled_from(_LINE_ENDS)) for _ in out]
+    return "".join(line + end for line, end in zip(out, ends))[: None if draw(st.booleans()) else -1]
+
+
+def _outcome(parse, text):
+    try:
+        n, edges = parse(text)
+    except HypergraphFormatError as exc:
+        return "error", str(exc)
+    return "ok", n, list(edges)
+
+
+@given(hgr_texts())
+@settings(max_examples=400, deadline=None)
+def test_vectorized_parse_matches_line_reference(text):
+    got = _outcome(_parse_edges, text)
+    assert got == _outcome(reference_parse_edges, text)
+    if got[0] == "ok":
+        n, edges = got[1:]
+        assert_same_as_reference(parse_hypergraph(text, 2.0, 1.5), ReferenceHypergraph(
+            n, edges, [[GadgetParams(2.0, 1.5)] for _ in edges]))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 1\n1 \u0662\n", "line 2: non-numeric node id"),           # Arabic-Indic 2
+    ("3 1\n1 \uff12\n", "line 2: non-numeric node id"),           # full-width 2
+    ("3 1\n1 0_2\n", "line 2: non-numeric node id"),
+    ("\u0663 1\n1 2\n", "line 1: non-numeric header token"),
+    ("1_0 0\n", "line 1: non-numeric header token"),
+    (f"{MAX_NODES + 1} 0\n", f"line 1: {MAX_NODES + 1} nodes exceed the limit {MAX_NODES}"),
+])
+def test_parse_narrowing_against_int(text, message):
+    """int() reads these, so the line-based parser took them; the .hgr parser
+    takes ASCII digits with an optional sign, and at most MAX_NODES nodes."""
+    reference_parse_edges(text)
+    with pytest.raises(HypergraphFormatError) as exc:
+        parse_hypergraph(text)
+    assert str(exc.value) == message
+
+
+def test_unicode_whitespace_tables_match_str():
+    """The byte kinds and the translation table of the vectorized parser
+    give the line breaks and separators of str.splitlines and str.split."""
+    for code in range(0x110000):
+        ch = chr(code)
+        breaks = len(f"a{ch}a".splitlines()) == 2
+        spaces = ch.isspace() and not breaks
+        if code < 128:
+            assert (_BYTE_KIND[code] == _BREAK) == breaks, hex(code)
+            assert (_BYTE_KIND[code] == _SPACE) == spaces, hex(code)
+        else:
+            assert _UNICODE_WHITESPACE.get(code) == ("\n" if breaks else " " if spaces else None)

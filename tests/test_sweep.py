@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import full_scan_delta_bar, full_scan_sweepcut, random_instance
-from hyperlocal.hypergraph import GadgetParams, Hypergraph, parse_hypergraph, set_metrics
+from hyperlocal.hypergraph import GadgetParams, Hypergraph, _Rows, parse_hypergraph, set_metrics
 from hyperlocal.quadratic import DiffusionConfig, solve
 from hyperlocal.sweep import SweepProfile, boundary_delta_bar, prf1, profile_csv, sweepcut
 from hyperlocal.synth import SplitMix64, planted_hypergraph, sample_seeds
@@ -191,7 +191,7 @@ def test_sweep_cases_cover_both_boundary_kinds():
 
 
 class _CountingSequence:
-    """Wraps a list, counting indexed reads and whole iterations."""
+    """Wraps a memoized view, counting indexed reads and whole iterations."""
 
     def __init__(self, items):
         self.items = items
@@ -207,18 +207,27 @@ class _CountingSequence:
         return iter(self.items)
 
 
+CHAIN_CFG = DiffusionConfig(gamma=0.1, kappa=0.01, rho=0.5)
+
+
+def _chain(kblocks):
+    """The chain of acceptance check 6 with `kblocks` blocks and five seeds
+    in block 0."""
+    h, labels = planted_hypergraph([50] * kblocks, 120, (3, 5), 0.05, 4242,
+                                   cross_scope="chain", delta=1.0)
+    return h, sample_seeds(labels, 0, 5, "uniform", 99, degrees=h.degrees)
+
+
 def test_sweep_work_stays_flat_as_chain_grows():
     """The chain of acceptance check 6 at 10 and 100 blocks, seeded in block
-    0: sweepcut plus boundary_delta_bar never iterate the edge or gadget
-    arrays whole, and read exactly as many entries at both sizes."""
+    0: sweepcut plus boundary_delta_bar never iterate the views they read
+    whole, and read exactly as many entries at both sizes."""
     reads = {}
     for kblocks in (10, 100):
-        h, labels = planted_hypergraph([50] * kblocks, 120, (3, 5), 0.05, 4242,
-                                       cross_scope="chain", delta=1.0)
-        seeds = sample_seeds(labels, 0, 5, "uniform", 99, degrees=h.degrees)
-        res = solve(h, seeds, DiffusionConfig(gamma=0.1, kappa=0.01, rho=0.5))
+        h, seeds = _chain(kblocks)
+        res = solve(h, seeds, CHAIN_CFG)
         wrapped = {name: _CountingSequence(getattr(h, name))
-                   for name in ("hyperedges", "gadget_edge", "gadget_delta")}
+                   for name in ("incident_gadgets", "edge_of", "delta_of", "degree_of")}
         for name, seq in wrapped.items():
             setattr(h, name, seq)
         prof = sweepcut(h, res.x)
@@ -227,6 +236,55 @@ def test_sweep_work_stays_flat_as_chain_grows():
         reads[kblocks] = {name: seq.reads for name, seq in wrapped.items()}
         assert all(reads[kblocks].values())
     assert reads[10] == reads[100], reads
+
+
+class _Untouchable:
+    """Stands in for an array that a strongly local query must not read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a query read a whole array ({name})")
+
+    def __getitem__(self, k):
+        raise AssertionError("a query indexed a whole array")
+
+    def __iter__(self):
+        raise AssertionError("a query iterated a whole array")
+
+    def __len__(self):
+        raise AssertionError("a query took the length of a whole array")
+
+
+_ARRAYS = ("edge_offsets", "edge_members", "gadget_edge", "gadget_c", "gadget_delta",
+           "gadget_wab", "incidence_offsets", "incidence", "degrees")
+_VIEWS = ("incident_gadgets", "degree_of", "members_of", "edge_of", "c_of", "wab_of",
+          "delta_of")
+
+
+def test_query_reads_a_local_memo_of_python_scalars(monkeypatch):
+    """Solve, sweep and boundary_delta_bar on the chain at 10 and 100 blocks
+    read the hypergraph only through its memoized views: the arrays are
+    never touched, the row views are never iterated, and every view holds
+    as many entries at both sizes. Every value that reaches the state and
+    the profile is a Python float, not a numpy scalar."""
+    def no_iteration(self):
+        raise AssertionError("a query iterated a row view whole")
+
+    monkeypatch.setattr(_Rows, "__iter__", no_iteration)
+    held = {}
+    for kblocks in (10, 100):
+        h, seeds = _chain(kblocks)
+        for name in _ARRAYS:
+            setattr(h, name, _Untouchable())
+        res = solve(h, seeds, CHAIN_CFG)
+        prof = sweepcut(h, res.x)
+        boundary_delta_bar(h, prof.best_set)
+        held[kblocks] = {name: len(getattr(h, name)) for name in _VIEWS}
+        held[kblocks]["hyperedges"] = len(h.hyperedges.memo)
+        held[kblocks]["gadgets"] = len(h.gadgets.memo)
+        assert all(held[kblocks].values())
+        for values in (res.state.x.values(), res.state.r.values(), prof.prefix_vol):
+            assert all(type(v) is float for v in values)
+    assert held[10] == held[100], held
 
 
 # ---------------------------------------------------------------------------
