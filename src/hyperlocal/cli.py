@@ -14,9 +14,11 @@ import sys
 import time
 
 from .hypergraph import (
+    GadgetParams,
     Hypergraph,
     HypergraphFormatError,
     _parse_edges,
+    _uniform_gadgets,
     format_hgr,
     parse_gadget_lines,
     parse_hypergraph,
@@ -87,16 +89,19 @@ def _delta(args) -> float:
 
 
 def _load_graph(args) -> Hypergraph:
-    """Parse the .hgr (and the --gadgets sidecar, if given), then build once."""
+    """Parse the .hgr (and the --gadgets sidecar, if given), then build once.
+    Each input text is passed straight to its parser, so it is freed once
+    parsed, before the next file is read and before the build."""
     delta = _delta(args)
-    text = _read_text(args.graph)
     try:
-        if not args.gadgets:
-            return parse_hypergraph(text, 1.0, delta)  # a bad --delta is a ValueError: exit 1
-        n, edges = _parse_edges(text)
-        rows = parse_gadget_lines(_read_text(args.gadgets), len(edges))
+        n, edges = _parse_edges(_read_text(args.graph))
+        if args.gadgets:
+            rows = parse_gadget_lines(_read_text(args.gadgets), len(edges))
     except HypergraphFormatError as exc:
         raise _CliIOError(f"{args.graph}: {exc}") from exc
+    if not args.gadgets:
+        # A bad --delta is a ValueError: exit 1.
+        rows = _uniform_gadgets(len(edges), GadgetParams(1.0, delta))
     return Hypergraph(n, edges, rows)
 
 

@@ -190,13 +190,22 @@ class Hypergraph:
         # Gadget-major (gadget, member) pairs. Each gadget adds
         # c * min(1, |e| - 1, delta) = c to each member (|e| >= 2, delta >= 1);
         # bincount adds in pair order, as a per-gadget `deg[v] += c` loop would.
+        # With one gadget per edge (gadget j on edge j) the pairs' nodes are
+        # the members themselves. Each pair temporary is dropped before the
+        # next is made.
         sizes = np.diff(offsets)
-        g_sizes = sizes[g_edge]
-        pair_nodes = members[_row_positions(offsets[g_edge], g_sizes)]
-        pair_gadgets = np.repeat(np.arange(len(g_edge), dtype=np.int32), g_sizes)
+        if np.array_equal(g_edge, np.arange(m, dtype=g_edge.dtype)):
+            g_sizes, pair_nodes = sizes, members
+        else:
+            g_sizes = sizes[g_edge]
+            pair_nodes = members[_row_positions(offsets[g_edge], g_sizes)]
         deg = np.bincount(pair_nodes, weights=np.repeat(g_c, g_sizes),
                           minlength=n).astype(np.float64, copy=False)  # int64 when empty
+        self.incidence_offsets = _offsets(np.bincount(pair_nodes, minlength=n))
         order = np.argsort(pair_nodes, kind="stable")
+        del pair_nodes
+        self.incidence = np.repeat(np.arange(len(g_edge), dtype=np.int32), g_sizes)[order]
+        del order
 
         self.edge_offsets = offsets
         self.edge_members = members
@@ -204,8 +213,6 @@ class Hypergraph:
         self.gadget_c = g_c
         self.gadget_delta = g_delta
         self.gadget_wab = g_c * g_delta
-        self.incidence_offsets = _offsets(np.bincount(pair_nodes, minlength=n))
-        self.incidence = pair_gadgets[order]
         self.degrees = deg
         self.total_volume = float(deg.sum())
         self.num_gadgets = len(g_edge)
@@ -391,74 +398,128 @@ _UNICODE_WHITESPACE = str.maketrans(
     | dict.fromkeys("\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
                     "\u2008\u2009\u200a\u202f\u205f\u3000", " "))
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+# The .hgr scan reads the text in pieces of about this many characters, each
+# extended to the line break that ends its last line, so its working arrays
+# stay the same size however long the text is. No line spans two pieces.
+_SCAN_CHUNK = 1 << 20
+_LINE_END = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+class _Rejected(Exception):
+    """The vectorized .hgr scan does not accept the text."""
 
 
 def _parse_edges(text: str):
     """The text half of parse_hypergraph: (num_nodes, EdgeRows of 0-based ids)."""
-    parsed = _scan_hgr(text)
-    if parsed is None:
-        _raise_format_error(text)
-    return parsed
+    try:
+        return _scan_hgr(text)
+    except _Rejected:
+        pass
+    _raise_format_error(text)
 
 
 def _scan_hgr(text: str):
-    """Vectorized .hgr parse: (num_nodes, EdgeRows), or None if the text is
-    not a valid hypergraph (then _raise_format_error says why)."""
-    if not text.isascii():
-        text = text.translate(_UNICODE_WHITESPACE)
-    data = text.encode()
-    buf = np.frombuffer(data, dtype=np.uint8)
+    """Vectorized .hgr parse: (num_nodes, EdgeRows). Raises _Rejected if the
+    text is not a valid hypergraph; _raise_format_error then says why.
+    Between pieces it keeps only the header and each piece's ids and row sizes."""
+    header = None  # (n, m), from the first content line
+    ids, sizes = [], []
+    lo = 0
+    while lo < len(text):
+        end = _LINE_END.search(text, lo + _SCAN_CHUNK - 1)
+        hi = end.end() if end else len(text)
+        header = _scan_piece(text[lo:hi], header, ids, sizes)
+        lo = hi
+    if header is None:
+        raise _Rejected  # no content line
+    sizes = np.concatenate(sizes)
+    if len(sizes) != header[1]:
+        raise _Rejected
+    return header[0], EdgeRows(_offsets(sizes), np.concatenate(ids))
+
+
+def _scan_piece(piece: str, header, ids, sizes):
+    """Scan a run of whole lines: append the int32 0-based ids and the int64
+    row sizes of its edges to ids and sizes, and return the header, read from
+    the first content line while it is None."""
+    if not piece.isascii():
+        piece = piece.translate(_UNICODE_WHITESPACE)
+    buf = np.frombuffer(piece.encode(), dtype=np.uint8)
+    del piece
     kind = _BYTE_KIND[buf]
     step = np.diff((kind < _SPACE).view(np.int8), prepend=np.int8(0), append=np.int8(0))
     starts = np.flatnonzero(step == 1)
     ends = np.flatnonzero(step == -1)
+    del step
     line = np.searchsorted(np.flatnonzero(kind == _BREAK), starts)
     # A line whose first token starts with "%" is a comment.
     first = np.ones(len(starts), dtype=bool)
     first[1:] = line[1:] != line[:-1]
-    comment = first & (buf[starts] == ord("%"))
-    first_of_line = np.maximum.accumulate(np.where(first, np.arange(len(starts)), 0))
-    content = np.flatnonzero(~comment[first_of_line])
+    comment = np.zeros(line[-1] + 1 if len(line) else 0, dtype=bool)
+    comment[line[first & (buf[starts] == ord("%"))]] = True
+    body = np.flatnonzero(~comment[line])
+    if header is None:
+        if not len(body):
+            return None
+        header = _header(buf, starts, ends, line, body)
+        body = body[2:]
+    # Narrowed to the edge tokens one array at a time, so that at most one
+    # of them is held twice.
+    starts = starts[body]
+    ends = ends[body]
+    line = line[body]
+    del body
+
+    new_row = np.ones(len(line), dtype=bool)
+    new_row[1:] = line[1:] != line[:-1]
+    offsets = np.append(np.flatnonzero(new_row), len(line))
+    del line, new_row
+    values = np.zeros(0, dtype=np.int64)
+    if len(starts):
+        lo, hi = starts[0], ends[-1]
+        buf, kind = buf[lo:hi], kind[lo:hi]
+        starts -= lo
+        ends -= lo
+        mark = np.zeros(hi - lo + 1, dtype=np.int8)
+        mark[starts] = 1
+        mark[ends] = -1
+        inside = np.cumsum(mark[:-1], dtype=np.int8).view(bool)
+        del mark, ends
+        # Edge tokens are ASCII digits, with at most a leading "+".
+        odd = kind != _DIGIT
+        odd &= inside
+        after_plus = starts[kind[starts] == _PLUS] + 1
+        after_plus = after_plus[after_plus < len(buf)]
+        odd[after_plus[kind[after_plus] == _DIGIT] - 1] = False
+        if odd.any():
+            raise _Rejected
+        del kind, odd, after_plus
+        # The edge tokens, with everything between them blanked, read in C.
+        blanked = np.where(inside, buf, np.uint8(32)).tobytes()
+        del buf, inside
+        values = np.fromstring(blanked, dtype=np.int64, sep=" ")
+        if len(values) != len(starts):
+            raise _Rejected
+    values -= 1
+    if _bad_rows(offsets, values, header[0]).any():
+        raise _Rejected
+    ids.append(values.astype(np.int32))
+    sizes.append(np.diff(offsets))
+    return header
+
+
+def _header(buf, starts, ends, line, content):
+    """(n, m) of the first content line, if it is two valid numbers."""
     if len(content) < 2 or line[content[1]] != line[content[0]] or (
             len(content) > 2 and line[content[2]] == line[content[0]]):
-        return None  # no header line of exactly two tokens
-    header = [data[starts[t]:ends[t]] for t in content[:2].tolist()]
-    if not all(_INT_TOKEN.fullmatch(tok.decode()) for tok in header):
-        return None
+        raise _Rejected  # no header line of exactly two tokens
+    header = [buf[starts[t]:ends[t]].tobytes().decode() for t in content[:2].tolist()]
+    if not all(map(_INT_TOKEN.fullmatch, header)):
+        raise _Rejected
     n, m = int(header[0]), int(header[1])
     if not (1 <= n <= MAX_NODES and m >= 0):
-        return None
-
-    body = content[2:]
-    values = np.zeros(0, dtype=np.int64)
-    if len(body):
-        lo, hi = starts[body[0]], ends[body[-1]]
-        mark = np.zeros(hi - lo + 1, dtype=np.int8)
-        mark[starts[body] - lo] = 1
-        mark[ends[body] - lo] = -1
-        inside = np.cumsum(mark[:-1], dtype=np.int8).view(bool)
-        # Edge tokens are ASCII digits, with at most a leading "+".
-        span = kind[lo:hi]
-        plus = (mark[:-1] == 1) & (span == _PLUS) & np.append(span[1:] == _DIGIT, False)
-        if (inside & (span != _DIGIT) & ~plus).any():
-            return None
-        # The edge tokens, with everything between them blanked, read in C.
-        values = np.fromstring(np.where(inside, buf[lo:hi], np.uint8(32)).tobytes(),
-                               dtype=np.int64, sep=" ")
-        if len(values) != len(body):
-            return None
-
-    body_line = line[body]
-    new_row = np.ones(len(body), dtype=bool)
-    new_row[1:] = body_line[1:] != body_line[:-1]
-    row_starts = np.flatnonzero(new_row)
-    if len(row_starts) != m:
-        return None
-    offsets = np.append(row_starts, len(body)).astype(np.int64)
-    ids = values - 1
-    if _bad_rows(offsets, ids, n).any():
-        return None
-    return n, EdgeRows(offsets, ids.astype(np.int32))
+        raise _Rejected
+    return n, m
 
 
 def _raise_format_error(text: str):

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from helpers import (
     full_scan_cut_value,
     reference_parse_edges,
 )
+from hyperlocal import hypergraph
 from hyperlocal.hypergraph import (
     _BREAK,
     _BYTE_KIND,
@@ -364,6 +367,52 @@ def test_vectorized_parse_matches_line_reference(text):
         n, edges = got[1:]
         assert_same_as_reference(parse_hypergraph(text, 2.0, 1.5), ReferenceHypergraph(
             n, edges, [[GadgetParams(2.0, 1.5)] for _ in edges]))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@given(text=hgr_texts())
+@settings(max_examples=150, deadline=None)
+def test_chunked_parse_matches_line_reference(chunk, text):
+    """Pieces of 1, 7 and 64 characters (extended to a line break) give the
+    outcome the whole-text line parser gives."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hypergraph, "_SCAN_CHUNK", chunk)
+        assert _outcome(_parse_edges, text) == _outcome(reference_parse_edges, text)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("3 2\r\n1 2\r\n2 3\r\n", ("ok", 3, [(0, 1), (1, 2)])),         # "\r" and "\n" split
+    ("% c\n\n  \n%% 1 2\n\t\n3 1\n1 2 3\n", ("ok", 3, [(0, 1, 2)])),  # late header
+    ("3 1\n1 2 3\n", ("ok", 3, [(0, 1, 2)])),                          # header alone
+    ("3 2\n1 2\n2 3", ("ok", 3, [(0, 1), (1, 2)])),                     # no final newline
+    ("3\xa02\u2028 1\u30002\x85+2\t03\u2029", ("ok", 3, [(0, 1), (1, 2)])),  # Unicode
+    ("3 2\n1 2\n% 1 x\n2 x\n", ("error", "line 4: non-numeric node id")),  # later bad line
+])
+def test_chunked_parse_at_every_piece_size(text, want):
+    """Every piece size from one character to the whole text puts the piece
+    boundaries at every line break in turn."""
+    assert _outcome(reference_parse_edges, text) == want
+    for chunk in range(1, len(text) + 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hypergraph, "_SCAN_CHUNK", chunk)
+            assert _outcome(_parse_edges, text) == want, chunk
+
+
+def test_parse_peak_memory_is_a_piece_plus_the_output():
+    """The scan's working arrays are sized by a piece, not by the text: its
+    traced peak on a 3.8 MB chain stays under 8 bytes per byte of text."""
+    n = 150_000
+    text = "".join([f"{n} {n - 3}\n"] + [f"{k} {k + 1} {k + 2} {k + 3}\n" for k in range(1, n - 2)])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        num_nodes, edges = _parse_edges(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (num_nodes, len(edges), edges[-1]) == (n, n - 3, (n - 4, n - 3, n - 2, n - 1))
+    assert peak <= 8 * len(text), peak / len(text)
 
 
 @pytest.mark.parametrize("text, message", [
