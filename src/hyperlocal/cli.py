@@ -93,27 +93,41 @@ def _load_graph(args) -> Hypergraph:
     Each input text is passed straight to its parser, so it is freed once
     parsed, before the next file is read and before the build."""
     delta = _delta(args)
+    path = args.graph
     try:
-        n, edges = _parse_edges(_read_text(args.graph))
+        n, edges = _parse_edges(_read_text(path))
         if args.gadgets:
-            rows = parse_gadget_lines(_read_text(args.gadgets), len(edges))
+            path = args.gadgets
+            rows = parse_gadget_lines(_read_text(path), len(edges))
     except HypergraphFormatError as exc:
-        raise _CliIOError(f"{args.graph}: {exc}") from exc
+        raise _CliIOError(f"{path}: {exc}") from exc
     if not args.gadgets:
         # A bad --delta is a ValueError: exit 1.
         rows = _uniform_gadgets(len(edges), GadgetParams(1.0, delta))
     return Hypergraph(n, edges, rows)
 
 
+def _read_ids(text: str, what: str):
+    """The integers of a node-id file, in file order. A line whose first
+    token starts with "%" is a comment, and so is any one token that does."""
+    ids = []
+    for line in text.splitlines():
+        toks = line.split()
+        if toks and toks[0].startswith("%"):
+            continue
+        for tok in toks:
+            if tok.startswith("%"):
+                continue
+            try:
+                ids.append(int(tok))
+            except ValueError:
+                raise _CliIOError(f"{what}: non-integer node id {tok!r}") from None
+    return ids
+
+
 def _parse_id_list(text: str, n: int, what: str):
     ids = []
-    for tok in text.split():
-        if tok.startswith("%"):
-            continue
-        try:
-            v = int(tok)
-        except ValueError:
-            raise _CliIOError(f"{what}: non-integer node id {tok!r}") from None
+    for v in _read_ids(text, what):
         if not 1 <= v <= n:
             raise _CliIOError(f"{what}: node id {v} out of range 1..{n}")
         ids.append(v - 1)
@@ -140,10 +154,13 @@ def _delta_max(h) -> float:
 def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux, delta_max):
     t0 = time.perf_counter()
     res = pnorm_solve(h, seeds, cfg)
+    solve_s = round(time.perf_counter() - t0, 6)
+    timings = {"solve_s": solve_s, "sweep_s": 0.0, "write_s": 0.0}
     report = {
         "seeds": [v + 1 for v in seeds],
         "kappa": cfg.kappa, "gamma": cfg.gamma, "rho": cfg.rho, "p": cfg.p,
-        "wall_time_s": round(time.perf_counter() - t0, 6),
+        "wall_time_s": solve_s,
+        "timings": timings,
         "converged": res.converged,
         "pushes": res.pushes,
         "aux_pushes": res.state.aux_pushes,
@@ -160,12 +177,17 @@ def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux, delta_max):
         print(f"warning: diffusion vector is all zero (kappa={cfg.kappa} "
               "at or above the seed residual scale); emitting an empty cluster",
               file=sys.stderr)
+        t0 = time.perf_counter()
         _write_text(out_prefix + "solution.csv", "node_id,x\n")
         _write_text(out_prefix + "cluster.txt", "")
+        timings["write_s"] = round(time.perf_counter() - t0, 6)
         report["best_conductance"] = None
         return report
 
+    t0 = time.perf_counter()
     profile = sweepcut(h, res.x)
+    t1 = time.perf_counter()
+    timings["sweep_s"] = round(t1 - t0, 6)
     _write_text(out_prefix + "solution.csv", _solution_csv(res.x))
     _write_text(out_prefix + "cluster.txt", _cluster_lines(profile.best_set))
     if emit_aux:
@@ -176,6 +198,7 @@ def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux, delta_max):
             xb = res.state.x.get(n + 2 * j + 1, 0.0)
             lines.append(f"{j + 1},{xa:.12g},{xb:.12g}")
         _write_text(out_prefix + "aux.csv", "\n".join(lines) + "\n")
+    timings["write_s"] = round(time.perf_counter() - t1, 6)
     best = profile.best_conductance
     report["best_conductance"] = None if math.isinf(best) else best
     report["best_set_size"] = len(profile.best_set)
@@ -183,7 +206,9 @@ def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux, delta_max):
 
 
 def _cmd_diffuse(args) -> int:
+    t0 = time.perf_counter()
     h = _load_graph(args)
+    load_s = round(time.perf_counter() - t0, 6)
     seed_sets = []
     if args.seed_nodes:
         seed_sets.append(("inline", _parse_id_list(args.seed_nodes.replace(",", " "),
@@ -207,6 +232,7 @@ def _cmd_diffuse(args) -> int:
         prefix = (os.path.join(outdir, "") if len(runs) == 1
                   else os.path.join(outdir, f"run{idx:03d}."))
         report = _run_one_diffusion(h, seeds, cfg, prefix, args.emit_aux, delta_max)
+        report["timings"]["load_s"] = load_s
         report["graph"] = args.graph
         report["seed_source"] = tag
         report["run"] = idx
@@ -247,10 +273,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    pred_text = _read_text(args.pred)
-    truth_text = _read_text(args.truth)
-    pred = set(int(t) for t in pred_text.split())
-    truth = set(int(t) for t in truth_text.split())
+    pred = set(_read_ids(_read_text(args.pred), args.pred))
+    truth = set(_read_ids(_read_text(args.truth), args.truth))
     p, r, f1 = prf1(pred, truth)
     print(f"{p:.4f} {r:.4f} {f1:.4f}")
     if args.append_csv:

@@ -7,7 +7,7 @@ formula relies on.
 
 Storage is columnar: flat numpy arrays, CSR for the ragged rows. Loading is a
 few vectorized passes over the input, with no Python object per edge or per
-token. The solvers and the sweep read the arrays through memoized views
+gadget (the sidecar's str tokens live for one piece of the text). The solvers and the sweep read the arrays through memoized views
 (`LazyView`) that hand out Python ints, floats and tuples and convert each
 entry the first time it is read, so a query pays for what it touches, not
 for the size of the hypergraph.
@@ -80,13 +80,17 @@ def _member_row(edge_rows, gadget_edge, j):
     return edge_rows[gadget_edge.item(j)]
 
 
-def _gadget_row(num_edges, edge, c, delta, k):
+def _gadget_row(num_edges, edge, c, delta, params, k):
     if not 0 <= k < num_edges:
         raise IndexError(f"row {k} out of range [0, {num_edges})")
     # Keys of edge's own dtype: mixed dtypes would make searchsorted cast
     # (copy) the whole array on every call.
     lo, hi = np.searchsorted(edge, np.array((k, k + 1), dtype=edge.dtype)).tolist()
-    return [GadgetParams(ck, dk) for ck, dk in zip(c[lo:hi].tolist(), delta[lo:hi].tolist())]
+    return list(map(params.__getitem__, zip(c[lo:hi].tolist(), delta[lo:hi].tolist())))
+
+
+def _gadget_params(c_delta):
+    return GadgetParams(*c_delta)
 
 
 class _Rows(Sequence):
@@ -128,10 +132,12 @@ class EdgeRows(_Rows):
 
 class GadgetRows(_Rows):
     """Per-edge GadgetParams lists over edge-major per-gadget arrays: edge
-    (int32, ascending), c and delta (float64, validated)."""
+    (int32, ascending), c and delta (float64, validated). Equal-valued
+    gadgets read from one GadgetRows are one shared (frozen) GadgetParams."""
 
     def __init__(self, num_edges, edge, c, delta):
-        super().__init__(num_edges, partial(_gadget_row, num_edges, edge, c, delta))
+        params = LazyView(_gadget_params)
+        super().__init__(num_edges, partial(_gadget_row, num_edges, edge, c, delta, params))
         self.edge = edge
         self.c = c
         self.delta = delta
@@ -161,7 +167,8 @@ class Hypergraph:
     Python values for the keys read so far.
 
     `hyperedges` and `gadgets` may be lists, or the views of another
-    Hypergraph (or of `_parse_edges`), whose arrays are then reused.
+    Hypergraph (or of `_parse_edges` and `parse_gadget_lines`), whose arrays
+    are then reused.
     `gadgets=None` gives every edge one GadgetParams().
     """
 
@@ -384,9 +391,10 @@ def parse_hypergraph(text: str, default_c: float = 1.0, default_delta: float = 1
     return Hypergraph(n, edges, _uniform_gadgets(len(edges), gadget))
 
 
-# Byte kinds of the vectorized .hgr pass. The breaks are the ASCII characters
-# str.splitlines() ends a line at, the spaces the other ones str.split()
-# separates at; the non-ASCII ones are first mapped onto "\n" and " ".
+# Byte kinds of the vectorized passes over .hgr and sidecar text. The breaks
+# are the ASCII characters str.splitlines() ends a line at, the spaces the
+# other ones str.split() separates at; the non-ASCII ones are first mapped
+# onto "\n" and " ".
 _DIGIT, _PLUS, _OTHER, _SPACE, _BREAK = range(5)
 _BYTE_KIND = np.full(256, _OTHER, dtype=np.uint8)
 _BYTE_KIND[np.frombuffer(b"0123456789", np.uint8)] = _DIGIT
@@ -398,15 +406,57 @@ _UNICODE_WHITESPACE = str.maketrans(
     | dict.fromkeys("\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
                     "\u2008\u2009\u200a\u202f\u205f\u3000", " "))
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
-# The .hgr scan reads the text in pieces of about this many characters, each
-# extended to the line break that ends its last line, so its working arrays
+# The scans read the text in pieces of about this many characters, each
+# extended to the line break that ends its last line, so their working arrays
 # stay the same size however long the text is. No line spans two pieces.
 _SCAN_CHUNK = 1 << 20
 _LINE_END = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 class _Rejected(Exception):
-    """The vectorized .hgr scan does not accept the text."""
+    """A vectorized scan does not accept the text."""
+
+
+def _pieces(text: str):
+    """(lo, hi) of consecutive runs of whole lines of about _SCAN_CHUNK
+    characters that cover the text. The callers slice each piece themselves,
+    so that it is freed as soon as they are done with it."""
+    lo = 0
+    while lo < len(text):
+        end = _LINE_END.search(text, lo + _SCAN_CHUNK - 1)
+        hi = end.end() if end else len(text)
+        yield lo, hi
+        lo = hi
+
+
+def _scan_tokens(piece: str):
+    """Tokens of a run of whole lines, as str.split() finds them, from the
+    byte tables: (buf, kind, starts, ends, line, body). buf is the piece's
+    UTF-8 bytes (Unicode whitespace mapped to ASCII) and kind their byte
+    kinds; each token has start and end byte offsets and a line index
+    (ascending); body indexes the tokens not on a comment line, a line whose
+    first token starts with "%"."""
+    if not piece.isascii():
+        piece = piece.translate(_UNICODE_WHITESPACE)
+    buf = np.frombuffer(piece.encode(), dtype=np.uint8)
+    del piece
+    kind = _BYTE_KIND[buf]
+    step = np.diff((kind < _SPACE).view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    starts = np.flatnonzero(step == 1)
+    ends = np.flatnonzero(step == -1)
+    del step
+    line = np.searchsorted(np.flatnonzero(kind == _BREAK), starts)
+    first = _row_offsets(line)[:-1]  # each line's first token
+    comment = np.zeros(line[-1] + 1 if len(line) else 0, dtype=bool)
+    comment[line[first[buf[starts[first]] == ord("%")]]] = True
+    return buf, kind, starts, ends, line, np.flatnonzero(~comment[line])
+
+
+def _row_offsets(line):
+    """CSR offsets of the runs of equal values in an ascending array."""
+    new_row = np.ones(len(line), dtype=bool)
+    new_row[1:] = line[1:] != line[:-1]
+    return np.append(np.flatnonzero(new_row), len(line))
 
 
 def _parse_edges(text: str):
@@ -424,12 +474,8 @@ def _scan_hgr(text: str):
     Between pieces it keeps only the header and each piece's ids and row sizes."""
     header = None  # (n, m), from the first content line
     ids, sizes = [], []
-    lo = 0
-    while lo < len(text):
-        end = _LINE_END.search(text, lo + _SCAN_CHUNK - 1)
-        hi = end.end() if end else len(text)
-        header = _scan_piece(text[lo:hi], header, ids, sizes)
-        lo = hi
+    for lo, hi in _pieces(text):
+        header = _scan_piece(_scan_tokens(text[lo:hi]), header, ids, sizes)
     if header is None:
         raise _Rejected  # no content line
     sizes = np.concatenate(sizes)
@@ -438,26 +484,12 @@ def _scan_hgr(text: str):
     return header[0], EdgeRows(_offsets(sizes), np.concatenate(ids))
 
 
-def _scan_piece(piece: str, header, ids, sizes):
-    """Scan a run of whole lines: append the int32 0-based ids and the int64
-    row sizes of its edges to ids and sizes, and return the header, read from
-    the first content line while it is None."""
-    if not piece.isascii():
-        piece = piece.translate(_UNICODE_WHITESPACE)
-    buf = np.frombuffer(piece.encode(), dtype=np.uint8)
-    del piece
-    kind = _BYTE_KIND[buf]
-    step = np.diff((kind < _SPACE).view(np.int8), prepend=np.int8(0), append=np.int8(0))
-    starts = np.flatnonzero(step == 1)
-    ends = np.flatnonzero(step == -1)
-    del step
-    line = np.searchsorted(np.flatnonzero(kind == _BREAK), starts)
-    # A line whose first token starts with "%" is a comment.
-    first = np.ones(len(starts), dtype=bool)
-    first[1:] = line[1:] != line[:-1]
-    comment = np.zeros(line[-1] + 1 if len(line) else 0, dtype=bool)
-    comment[line[first & (buf[starts] == ord("%"))]] = True
-    body = np.flatnonzero(~comment[line])
+def _scan_piece(tokens, header, ids, sizes):
+    """Scan a run of whole lines, given its _scan_tokens: append the int32
+    0-based ids and the int64 row sizes of its edges to ids and sizes, and
+    return the header, read from the first content line while it is None."""
+    buf, kind, starts, ends, line, body = tokens
+    del tokens
     if header is None:
         if not len(body):
             return None
@@ -470,10 +502,8 @@ def _scan_piece(piece: str, header, ids, sizes):
     line = line[body]
     del body
 
-    new_row = np.ones(len(line), dtype=bool)
-    new_row[1:] = line[1:] != line[:-1]
-    offsets = np.append(np.flatnonzero(new_row), len(line))
-    del line, new_row
+    offsets = _row_offsets(line)
+    del line
     values = np.zeros(0, dtype=np.int64)
     if len(starts):
         lo, hi = starts[0], ends[-1]
@@ -560,39 +590,94 @@ def _raise_format_error(text: str):
     raise RuntimeError("the vectorized .hgr parse rejected a text the line check accepts")
 
 
-def parse_gadget_lines(text: str, num_edges: int):
+def parse_gadget_lines(text: str, num_edges: int) -> GadgetRows:
     """Parse a gadget sidecar: one line per hyperedge, "c1:delta1 c2:delta2 ...".
 
-    Returns a list of gadget lists aligned with the hyperedge order. Equal
-    tokens share one (frozen) GadgetParams; only valid tokens are memoized,
-    so every bad token is parsed, and reported, at its own line.
+    Each token is a "c:delta" pair of float() numbers, c finite and positive
+    and delta finite and >= 1 (as GadgetParams checks). Lines split at the
+    breaks of str.splitlines() and tokens at str.split() whitespace; lines
+    starting with "%" and blank lines are ignored. Returns a GadgetRows, the
+    read-only list view of the gadget lists that Hypergraph.gadgets is,
+    aligned with the hyperedge order; a Hypergraph built from it reuses its
+    arrays.
+
+    Raises HypergraphFormatError naming the line of the first bad token, or
+    when the number of gadget lines is not num_edges.
     """
-    rows = []
-    memo = {}
+    try:
+        return _scan_gadgets(text, num_edges)
+    except _Rejected:
+        pass
+    _raise_gadget_error(text, num_edges)
+
+
+def _gadget_token(tok: str) -> GadgetParams:
+    """GadgetParams of one "c:delta" token; a ValueError says what is wrong."""
+    parts = tok.split(":")
+    if len(parts) != 2:
+        raise ValueError(f"gadget token '{tok}' is not 'c:delta'")
+    try:
+        c, delta = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ValueError(f"non-numeric gadget token '{tok}'") from None
+    return GadgetParams(c, delta)
+
+
+def _scan_gadgets(text: str, num_edges: int) -> GadgetRows:
+    """Vectorized sidecar parse. Rows come from the byte tables, tokens from
+    str.split(); each distinct token is parsed once, and every token is read
+    as the index of its distinct token. Raises _Rejected if the text is not
+    a valid sidecar; _raise_gadget_error then says why."""
+    cs, deltas = [], []
+
+    def parse(tok):
+        try:
+            g = _gadget_token(tok)
+        except ValueError:
+            raise _Rejected from None
+        cs.append(g.c)
+        deltas.append(g.delta)
+        return len(cs) - 1
+
+    index = LazyView(parse)  # token -> index of its distinct token
+    picks, counts = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int64)]
+    for lo, hi in _pieces(text):
+        piece = text[lo:hi]
+        line, body = _scan_tokens(piece)[4:]
+        tokens = piece.split()
+        del piece
+        if len(line) != len(tokens):
+            raise _Rejected
+        if len(body) < len(tokens):
+            tokens = list(map(tokens.__getitem__, body.tolist()))
+        picks.append(np.fromiter(map(index.__getitem__, tokens), dtype=np.int32,
+                                 count=len(tokens)))
+        del tokens
+        counts.append(np.diff(_row_offsets(line[body])))
+    counts = np.concatenate(counts)
+    if len(counts) != num_edges:
+        raise _Rejected
+    picks = np.concatenate(picks)
+    return GadgetRows(num_edges, np.repeat(np.arange(num_edges, dtype=np.int32), counts),
+                      np.array(cs, dtype=np.float64)[picks],
+                      np.array(deltas, dtype=np.float64)[picks])
+
+
+def _raise_gadget_error(text: str, num_edges: int):
+    """The line-by-line check of a sidecar: raises the error of the first bad
+    token (or the line count). Runs only when _scan_gadgets rejects the text."""
+    count = 0
     for ln, toks in _tokens(text):
-        gl = []
         for t in toks:
-            g = memo.get(t)
-            if g is None:
-                parts = t.split(":")
-                if len(parts) != 2:
-                    raise HypergraphFormatError(f"line {ln}: gadget token '{t}' is not 'c:delta'")
-                try:
-                    c, delta = float(parts[0]), float(parts[1])
-                except ValueError:
-                    raise HypergraphFormatError(f"line {ln}: non-numeric gadget token '{t}'") from None
-                try:
-                    g = memo[t] = GadgetParams(c, delta)
-                except ValueError as exc:
-                    raise HypergraphFormatError(f"line {ln}: {exc}") from None
-            gl.append(g)
-        if not gl:
-            raise HypergraphFormatError(f"line {ln}: empty gadget line")
-        rows.append(gl)
-    if len(rows) != num_edges:
+            try:
+                _gadget_token(t)
+            except ValueError as exc:
+                raise HypergraphFormatError(f"line {ln}: {exc}") from None
+        count += 1
+    if count != num_edges:
         raise HypergraphFormatError(
-            f"gadget sidecar has {len(rows)} lines, hypergraph has {num_edges} hyperedges")
-    return rows
+            f"gadget sidecar has {count} lines, hypergraph has {num_edges} hyperedges")
+    raise RuntimeError("the vectorized sidecar parse rejected a text the line check accepts")
 
 
 def format_hgr(h: Hypergraph) -> str:

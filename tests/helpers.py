@@ -220,6 +220,36 @@ def reference_parse_edges(text):
     return n, edges
 
 
+def reference_parse_gadget_lines(text, num_edges):
+    """Line-by-line sidecar parse: a list of GadgetParams lists, one per
+    content line. Equal tokens share one GadgetParams; only valid tokens are
+    memoized, so every bad token is parsed, and reported, at its own line."""
+    rows = []
+    memo = {}
+    for ln, toks in reference_tokens(text):
+        gl = []
+        for t in toks:
+            g = memo.get(t)
+            if g is None:
+                parts = t.split(":")
+                if len(parts) != 2:
+                    raise HypergraphFormatError(f"line {ln}: gadget token '{t}' is not 'c:delta'")
+                try:
+                    c, delta = float(parts[0]), float(parts[1])
+                except ValueError:
+                    raise HypergraphFormatError(f"line {ln}: non-numeric gadget token '{t}'") from None
+                try:
+                    g = memo[t] = GadgetParams(c, delta)
+                except ValueError as exc:
+                    raise HypergraphFormatError(f"line {ln}: {exc}") from None
+            gl.append(g)
+        rows.append(gl)
+    if len(rows) != num_edges:
+        raise HypergraphFormatError(
+            f"gadget sidecar has {len(rows)} lines, hypergraph has {num_edges} hyperedges")
+    return rows
+
+
 class ReferenceHypergraph:
     """Python lists per edge, per gadget and per node, built by loops."""
 

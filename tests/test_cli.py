@@ -60,6 +60,37 @@ def test_diffuse_matches_library_composition(tri_file, tmp_path):
         sweepcut(h, res.x).best_conductance)
 
 
+def test_diffuse_report_timings(tri_file, tmp_path):
+    out = tmp_path / "out"
+    assert main(["diffuse", "--graph", str(tri_file), "--seed-nodes", "1",
+                 "--kappa", "0.1", "0.05", "--out", str(out)]) == 0
+    reports = [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()]
+    for rep in reports:
+        timings = rep["timings"]
+        assert set(timings) == {"load_s", "solve_s", "sweep_s", "write_s"}
+        assert all(type(v) is float and v >= 0 for v in timings.values())
+        assert timings["solve_s"] == rep["wall_time_s"]
+    # One graph load per process, reported on every record.
+    assert reports[0]["timings"]["load_s"] == reports[1]["timings"]["load_s"]
+
+
+def test_seed_file_comment_lines(tri_file, tmp_path):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("% seeds of block 0\n1 %2\n\t% 3 x\n2\n")
+    out = tmp_path / "out"
+    assert main(["diffuse", "--graph", str(tri_file), "--seeds", str(seeds),
+                 "--kappa", "0.1", "--out", str(out)]) == 0
+    assert json.loads((out / "report.jsonl").read_text())["seeds"] == [1, 2]
+
+
+def test_seed_file_bad_token_is_io_error(tri_file, tmp_path, capsys):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("1\n2 x\n")
+    assert main(["diffuse", "--graph", str(tri_file), "--seeds", str(seeds),
+                 "--kappa", "0.1", "--out", str(tmp_path / "out")]) == 2
+    assert f"{seeds}: non-integer node id 'x'" in capsys.readouterr().err
+
+
 def test_diffuse_pnorm_dispatch(tri_file, tmp_path):
     out = tmp_path / "out"
     rc = main(["diffuse", "--graph", str(tri_file), "--seed-nodes", "1",
@@ -154,6 +185,18 @@ def test_nonfinite_sidecar_delta_is_format_error(quad_files, tmp_path):
     rc = main(["diffuse", "--graph", str(g), "--gadgets", str(side),
                "--seed-nodes", "1", "--kappa", "0.05", "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+def test_sidecar_format_error_names_the_sidecar(tmp_path, capsys):
+    graph = tmp_path / "t.hgr"
+    graph.write_text(H44_TEXT)
+    side = tmp_path / "t.gad"
+    side.write_text("1:2\nx:1\n")
+    rc = main(["diffuse", "--graph", str(graph), "--gadgets", str(side),
+               "--seed-nodes", "1", "--kappa", "0.05", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        f"hyperlocal: error: {side}: line 2: non-numeric gadget token 'x:1'\n"
 
 
 def test_diffuse_all_zero_vector_warns_but_succeeds(tri_file, tmp_path, capsys):
@@ -270,6 +313,16 @@ def test_eval_append_csv(tmp_path, capsys):
     lines = log.read_text().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("pred,")
+
+
+@pytest.mark.parametrize("which", ["pred", "truth"])
+def test_eval_malformed_file_is_io_error(tmp_path, capsys, which):
+    p, t = eval_files(tmp_path, [1, 2], [2, 3])
+    bad = p if which == "pred" else t
+    bad.write_text("% header line\n1\n2.5\n")
+    assert main(["eval", "--pred", str(p), "--truth", str(t)]) == 2
+    assert capsys.readouterr().err == \
+        f"hyperlocal: error: {bad}: non-integer node id '2.5'\n"
 
 
 # ---------------------------------------------------------------------------

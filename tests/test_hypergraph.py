@@ -11,6 +11,7 @@ from helpers import (
     ReferenceHypergraph,
     full_scan_cut_value,
     reference_parse_edges,
+    reference_parse_gadget_lines,
 )
 from hyperlocal import hypergraph
 from hyperlocal.hypergraph import (
@@ -20,8 +21,10 @@ from hyperlocal.hypergraph import (
     _UNICODE_WHITESPACE,
     MAX_NODES,
     GadgetParams,
+    GadgetRows,
     Hypergraph,
     HypergraphFormatError,
+    _gadget_arrays,
     _parse_edges,
     conductance,
     cut_value,
@@ -444,3 +447,119 @@ def test_unicode_whitespace_tables_match_str():
             assert (_BYTE_KIND[code] == _SPACE) == spaces, hex(code)
         else:
             assert _UNICODE_WHITESPACE.get(code) == ("\n" if breaks else " " if spaces else None)
+
+
+# ---------------------------------------------------------------------------
+# The vectorized gadget sidecar parse against the line-by-line reference
+# (tests/helpers.py)
+
+_GOOD_GADGETS = ["1:1", "1:2", "0.5:3", "2:1.5", "1.0:2.0", "+1e0:3", "1_0:1",
+                 "\u0661:\u0662", "7:1e300"]
+_BAD_GADGETS = ["x:1", "1-2", "1:2:3", ":", "1:", "0:1", "-1:1", "1:0.5", "inf:1",
+                "1:inf", "nan:1", "1:nan", "1e999:1", "%1:2", "1:2%"]
+
+
+@st.composite
+def sidecar_texts(draw):
+    """(sidecar text, num_edges), valid or not: tokens drawn from a small
+    pool (so most repeat), separators, line endings, blank and comment lines,
+    no final newline, and now and then a malformed or non-finite token or a
+    line count off by one."""
+    bad = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        toks = []
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            if bad and draw(st.integers(min_value=0, max_value=9)) == 0:
+                toks.append(draw(st.sampled_from(_BAD_GADGETS)))
+            else:
+                toks.append(draw(st.sampled_from(_GOOD_GADGETS)))
+        lines.append(toks)
+    num_edges = len(lines) + (draw(st.sampled_from([-1, 1])) if bad and draw(st.booleans()) else 0)
+    out = []
+    for toks in lines:
+        for _ in range(draw(st.integers(min_value=0, max_value=1))):
+            out.append(draw(st.sampled_from(["", " ", "\t"] + _COMMENTS)))
+        sep = draw(st.sampled_from(_SPACES))
+        out.append(draw(st.sampled_from(["", " ", "\xa0"])) + sep.join(toks)
+                   + draw(st.sampled_from(["", " \t"])))
+    ends = [draw(st.sampled_from(_LINE_ENDS)) for _ in out]
+    text = "".join(line + end for line, end in zip(out, ends))
+    return text[: None if draw(st.booleans()) else -1], max(num_edges, 0)
+
+
+def _gadget_outcome(parse, text, num_edges):
+    try:
+        rows = parse(text, num_edges)
+    except HypergraphFormatError as exc:
+        return "error", str(exc)
+    return "ok", list(rows)
+
+
+def assert_same_gadgets(text, num_edges):
+    """parse_gadget_lines gives the reference's rows, and arrays with the
+    dtypes and bytes of the reference rows' arrays, or its error message."""
+    want = _gadget_outcome(reference_parse_gadget_lines, text, num_edges)
+    try:
+        rows = parse_gadget_lines(text, num_edges)
+    except HypergraphFormatError as exc:
+        assert ("error", str(exc)) == want
+        return
+    assert isinstance(rows, GadgetRows) and ("ok", list(rows)) == want
+    for got, ref in zip((rows.edge, rows.c, rows.delta), _gadget_arrays(want[1], num_edges)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, hypergraph._SCAN_CHUNK])
+@given(case=sidecar_texts())
+@settings(max_examples=150, deadline=None)
+def test_sidecar_parse_matches_line_reference(chunk, case):
+    """Pieces of 1, 7 and 64 characters (extended to a line break) and the
+    default piece give the outcome the line parser gives."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hypergraph, "_SCAN_CHUNK", chunk)
+        assert_same_gadgets(*case)
+
+
+@pytest.mark.parametrize("text, num_edges", [
+    ("1:2 2:1\r\n2:1\r\n", 2),                           # "\r" and "\n" split
+    ("% c 1:2\n\n  \n%%x\n\t\n1:2\n", 1),                  # comments, blank lines
+    ("1:2\n3:1 1:2", 2),                                 # no final newline
+    ("1:2\xa02:1\u2028 1:2\u30003:1\x85", 2),              # Unicode whitespace
+    ("", 0),                                             # no edges
+    ("% only a comment\n", 0),
+    ("1:2\n% 1 x\n2:1 x:1\n", 2),                        # bad token on line 3
+    ("1:2\n2:1\n", 3),                                   # too few lines
+])
+def test_sidecar_parse_at_every_piece_size(text, num_edges):
+    for chunk in range(1, len(text) + 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hypergraph, "_SCAN_CHUNK", chunk)
+            assert_same_gadgets(text, num_edges)
+
+
+def test_sidecar_messages():
+    assert _gadget_outcome(parse_gadget_lines, "1:2\n% 1 x\n2:1 x:1\n", 2) == \
+        ("error", "line 3: non-numeric gadget token 'x:1'")
+    assert _gadget_outcome(parse_gadget_lines, "1:2\n", 3) == \
+        ("error", "gadget sidecar has 1 lines, hypergraph has 3 hyperedges")
+
+
+def test_sidecar_parse_peak_memory_is_a_piece_plus_the_output():
+    """The sidecar scan holds one piece's tokens at a time and no object per
+    gadget: its traced peak on a 3.2 MB sidecar stays under 10 bytes per
+    byte of text (the arrays it returns take about 4)."""
+    n = 400_000
+    pool = ["1:1", "1:2", "1:3", "0.5:2", "2:1.5"]
+    text = "".join(f"{pool[k % 5]} {pool[(7 * k + 3) % 5]}\n" if k % 3 else f"{pool[k % 5]}\n"
+                   for k in range(n))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rows = parse_gadget_lines(text, n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == n and rows[n - 2] == [GadgetParams(0.5, 2.0), GadgetParams(2.0, 1.5)]
+    assert peak <= 10 * len(text), peak / len(text)
