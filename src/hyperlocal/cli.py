@@ -164,6 +164,8 @@ def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux, delta_max):
         "converged": res.converged,
         "pushes": res.pushes,
         "aux_pushes": res.state.aux_pushes,
+        "walk_pushes": res.state.walk_pushes,
+        "peak_queue": res.state.peak_queue,
         "root_evals": res.state.root_evals,
         "settle_fallbacks": res.state.settle_fallbacks,
         "sum_pushed_degree": res.sum_pushed_degree,
@@ -173,23 +175,21 @@ def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux, delta_max):
     if not res.converged:
         return report
 
-    if not res.x:
+    best_set, best = (), math.inf
+    if res.x:
+        t0 = time.perf_counter()
+        profile = sweepcut(h, res.x)
+        timings["sweep_s"] = round(time.perf_counter() - t0, 6)
+        best_set, best = profile.best_set, profile.best_conductance
+    else:
         print(f"warning: diffusion vector is all zero (kappa={cfg.kappa} "
               "at or above the seed residual scale); emitting an empty cluster",
               file=sys.stderr)
-        t0 = time.perf_counter()
-        _write_text(out_prefix + "solution.csv", "node_id,x\n")
-        _write_text(out_prefix + "cluster.txt", "")
-        timings["write_s"] = round(time.perf_counter() - t0, 6)
-        report["best_conductance"] = None
-        return report
-
-    t0 = time.perf_counter()
-    profile = sweepcut(h, res.x)
+    report["best_conductance"] = None if math.isinf(best) else best
+    report["best_set_size"] = len(best_set)
     t1 = time.perf_counter()
-    timings["sweep_s"] = round(t1 - t0, 6)
     _write_text(out_prefix + "solution.csv", _solution_csv(res.x))
-    _write_text(out_prefix + "cluster.txt", _cluster_lines(profile.best_set))
+    _write_text(out_prefix + "cluster.txt", _cluster_lines(best_set))
     if emit_aux:
         lines = ["gadget_id,x_a,x_b"]
         n = h.num_nodes
@@ -199,9 +199,6 @@ def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux, delta_max):
             lines.append(f"{j + 1},{xa:.12g},{xb:.12g}")
         _write_text(out_prefix + "aux.csv", "\n".join(lines) + "\n")
     timings["write_s"] = round(time.perf_counter() - t1, 6)
-    best = profile.best_conductance
-    report["best_conductance"] = None if math.isinf(best) else best
-    report["best_set_size"] = len(profile.best_set)
     return report
 
 
@@ -359,7 +356,6 @@ def _cmd_check(args) -> int:
            f"aux={rep.max_aux_residual:.2e} box={rep.max_box_violation:.2e}")
 
     full = replay_pushes(h, seeds, cfg, events)
-    dev = 0.0
     size = h.num_nodes + 2 * h.num_gadgets
     sparse = [res.state.x.get(i, 0.0) for i in range(size)]
     dev = max(abs(a - b) for a, b in zip(full, sparse))

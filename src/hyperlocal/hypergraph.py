@@ -80,6 +80,12 @@ def _member_row(edge_rows, gadget_edge, j):
     return edge_rows[gadget_edge.item(j)]
 
 
+def _settle_record(c_of, wab_of, members_of, j):
+    c, wab, members = c_of[j], wab_of[j], members_of[j]
+    # The quadratic pair settle's residual tolerance and round cap.
+    return wab, members, 1e-15 * (1.0 + wab + c * len(members)), 4 * len(members) + 8
+
+
 def _gadget_row(num_edges, edge, c, delta, params, k):
     if not 0 <= k < num_edges:
         raise IndexError(f"row {k} out of range [0, {num_edges})")
@@ -164,7 +170,10 @@ class Hypergraph:
     list) are read-only list views. The solvers and the sweep read the
     memoized views `incident_gadgets[v]`, `degree_of[v]`, `members_of[j]`,
     `edge_of[j]`, `c_of[j]`, `wab_of[j]` and `delta_of[j]`, which hold
-    Python values for the keys read so far.
+    Python values for the keys read so far. `settle_of[j]` is the record the
+    p = 2 pair settle reads per gadget, (wab, members, tol, round cap): one
+    lookup in place of four, filled through the views above (c comes with
+    the settle's x_a and x_b from the push's scan).
 
     `hyperedges` and `gadgets` may be lists, or the views of another
     Hypergraph (or of `_parse_edges` and `parse_gadget_lines`), whose arrays
@@ -239,6 +248,8 @@ class Hypergraph:
         self.c_of = LazyView(g_c.item)
         self.wab_of = LazyView(self.gadget_wab.item)
         self.delta_of = LazyView(g_delta.item)
+        self.settle_of = LazyView(partial(_settle_record, self.c_of, self.wab_of,
+                                          self.members_of))
 
     def edge_penalty(self, k: int, in_count: int) -> float:
         return splitting_penalty(self.gadgets.memo[k], in_count,

@@ -18,7 +18,8 @@ times (plain bisection: 28) and a settle the defect about 7.6 times
 (80-step bisection: 31).
 
 state.root_evals counts both kinds of evaluation and state.settle_fallbacks
-the `_settle_levels` calls.
+the `_settle_levels` calls; every push is a root-find, so each counts in
+state.walk_pushes.
 
 Residual nonnegativity is only guaranteed up to the bisection truncation: if
 L is the local Lipschitz (for p < 2: Holder) modulus of the residual in the
@@ -40,7 +41,7 @@ from .quadratic import (
     _drive,
     _scan_node,
     aux_ids,
-    auxpush,
+    settle,
 )
 
 _BISECT_ITERS = 80    # also caps the defect evaluations of one _settle_pair
@@ -171,6 +172,7 @@ def _push(h, state, cfg, i, ri, di, adjacent, caches):
     state.x[i] = hi
     state.r[i] = hi_f
     state.root_evals += evals
+    state.walk_pushes += 1
     state.pushes += 1
     state.sum_pushed_degree += di
     return hi - xi
@@ -398,6 +400,14 @@ def pnorm_auxpush(h: Hypergraph, state, cfg: DiffusionConfig, j: int,
     return da_total, db_total
 
 
+def _settle(h, state, cfg, i, dxi, adjacent, on_event):
+    """The settle kernel of _drive: pnorm_auxpush on each gadget incident to i."""
+    for j in h.incident_gadgets[i]:
+        da, db = pnorm_auxpush(h, state, cfg, j, i, dxi)
+        if on_event is not None:
+            on_event("auxpush", {"gadget": j, "node": i, "da": da, "db": db})
+
+
 def pnorm_solve(h: Hypergraph, seeds, cfg: DiffusionConfig, on_event=None,
                 force_general: bool = False) -> SolveResult:
     """Run the p-norm diffusion to convergence (or to cfg.max_pushes).
@@ -407,5 +417,5 @@ def pnorm_solve(h: Hypergraph, seeds, cfg: DiffusionConfig, on_event=None,
     both run the same driver and queue policy).
     """
     if cfg.p == 2.0 and not force_general:
-        return _drive(h, seeds, cfg, _scan_node, _apply_hyperpush, auxpush, on_event)
-    return _drive(h, seeds, cfg, _scan, _push, pnorm_auxpush, on_event)
+        return _drive(h, seeds, cfg, _scan_node, _apply_hyperpush, settle, on_event)
+    return _drive(h, seeds, cfg, _scan, _push, _settle, on_event)

@@ -5,15 +5,30 @@ State lives in sparse dicts keyed by reduced-graph node ids (originals
 The solver repeatedly takes a node whose residual violates r_i > kappa*d_i
 off a FIFO queue, raises x_i until the residual drops to rho*kappa*d_i
 (hyperpush), then restores the residuals of the touched gadgets' auxiliary
-pairs to zero (auxpush) and propagates the resulting nonnegative residual
-bumps to the gadgets' other members. Everything is O(size of the touched
-region); the full graph is never materialized.
+pairs to zero and propagates the resulting nonnegative residual bumps to the
+gadgets' other members. Everything is O(size of the touched region); the
+full graph is never materialized.
+
+`_drive` is the push loop of both solvers; each solver hands it three
+kernels (scan, push, settle). The p = 2 `settle` settles every gadget
+incident to the pushed node in one pass (`_settle_pairs`): the state's
+containers, gamma and kappa are read once per pass, a gadget's (w_ab,
+members, tol, round cap) come from one memoized record (h.settle_of),
+members' values are gathered once per edge, and c, x_a and x_b come from
+the push's own scan. The public `auxpush` runs the same pass on one
+gadget, so the pair-settle arithmetic exists once; the per-gadget loop it
+replaced is kept in the tests as the bit-for-bit reference.
+
+Work counters on DiffusionState: pushes, aux_pushes (settles that ran the
+pair solve), walk_pushes (pushes that walked the residual's breakpoints
+instead of the one linear solve), peak_queue and sum_pushed_degree.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .hypergraph import Hypergraph
 
@@ -57,6 +72,8 @@ class DiffusionState:
     pushes: int = 0
     aux_pushes: int = 0
     root_evals: int = 0        # p-norm push residual + settle defect evaluations
+    walk_pushes: int = 0       # pushes off the one-solve fast path (every p < 2 push)
+    peak_queue: int = 0        # longest the queue got
     settle_fallbacks: int = 0  # p-norm settles that fell back to _settle_levels
     sum_pushed_degree: float = 0.0
     seed_volume: float = 0.0
@@ -144,19 +161,21 @@ def _scan_node(h, state, cfg, i):
     x_a >= x_i (non-strict, so a tie disables the fast path), b_min the
     smallest x_b > x_i; both +inf when no candidate exists.
     """
-    x = state.x
-    xi = x.get(i, 0.0)
+    xget = state.x.get
+    c_of = h.c_of
+    xi = xget(i, 0.0)
     n = h.num_nodes
     acc = 0.0
     s_a = s_b = 0.0
     a_min = b_min = math.inf
     adjacent = []
+    append = adjacent.append
     for j in h.incident_gadgets[i]:
-        c = h.c_of[j]
+        c = c_of[j]
         a = n + 2 * j
-        xa = x.get(a, 0.0)
-        xb = x.get(a + 1, 0.0)
-        adjacent.append((c, xa, xb))
+        xa = xget(a, 0.0)
+        xb = xget(a + 1, 0.0)
+        append((c, xa, xb))
         if xb > xi:
             acc += c * (xb - xi)
             s_b += c
@@ -172,12 +191,13 @@ def _scan_node(h, state, cfg, i):
     return ri, adjacent, (s_a, s_b, a_min, b_min)
 
 
-def _solve_push_amount(cfg, xi, ri, di, adjacent, caches):
+def _solve_push_amount(cfg, xi, ri, di, adjacent, caches, state=None):
     """The unique Delta > 0 with residual(x_i + Delta) = rho*kappa*d_i.
 
     Fast path: one linear solve, valid while no adjacent auxiliary value is
     crossed or tied. Otherwise walk the breakpoints of the piecewise-linear
-    residual; the target is always reached at some t <= 1.
+    residual; the target is always reached at some t <= 1. A walk is counted
+    in state.walk_pushes when state is given.
     """
     gamma = cfg.gamma
     target = cfg.rho * cfg.kappa * di
@@ -185,6 +205,8 @@ def _solve_push_amount(cfg, xi, ri, di, adjacent, caches):
     delta = (ri - target) / ((s_a + s_b) / gamma + di)
     if xi + delta <= min(a_min, b_min):
         return delta
+    if state is not None:
+        state.walk_pushes += 1
 
     # Right-derivative weight at t = xi: a-side ties included, b-side strict.
     w_active = 0.0
@@ -224,7 +246,7 @@ def hyperpush(h: Hypergraph, state: DiffusionState, cfg: DiffusionConfig, i: int
 
 def _apply_hyperpush(h, state, cfg, i, ri, di, adjacent, caches):
     xi = state.x.get(i, 0.0)
-    delta = _solve_push_amount(cfg, xi, ri, di, adjacent, caches)
+    delta = _solve_push_amount(cfg, xi, ri, di, adjacent, caches, state)
     state.x[i] = xi + delta
     state.r[i] = cfg.rho * cfg.kappa * di
     state.pushes += 1
@@ -241,105 +263,180 @@ def auxpush(h: Hypergraph, state: DiffusionState, cfg: DiffusionConfig, j: int,
     the auxiliary movement, and members pushed above the violation threshold
     are enqueued. The state is authoritative: residuals are recomputed here,
     so the push is correct even when both perturbation terms are active.
+    Runs the kernel of `settle` on gadget j alone.
     """
     x = state.x
     a = h.num_nodes + 2 * j
-    b = a + 1
-    c = h.c_of[j]
-    wab = h.wab_of[j]
-    members = h.members_of[j]
-    state.touched_gadgets.add(j)
-    xa0 = x.get(a, 0.0)
-    xb0 = x.get(b, 0.0)
-    if i is not None and dxi is not None:
-        # Nothing moved into the active range: both residuals untouched.
-        xi_new = x.get(i, 0.0)
-        if xi_new <= xa0 and xb0 <= xi_new - dxi:
-            return 0.0, 0.0
-
-    xa, xb = xa0, xb0
-    member_x = [(v, x.get(v, 0.0)) for v in members]
-    tol = 1e-15 * (1.0 + wab + c * len(members))
-
-    for _round in range(4 * len(members) + 8):
-        # One pass: the residuals, the active weights z and the nearest
-        # breakpoints above x_a and x_b. A member at x_v == x_b counts in z_b
-        # and subtracts an exact 0.0 from r_b, which leaves r_b unchanged.
-        ra = -wab * (xa - xb)
-        rb = wab * (xa - xb)
-        z_a = z_b = 0.0
-        xmin_a = xmin_b = math.inf
-        for _, xv in member_x:
-            if xv > xa:
-                ra += c * (xv - xa)
-                z_a += c
-                if xv < xmin_a:
-                    xmin_a = xv
-            if xv <= xb:
-                rb -= c * (xb - xv)
-                z_b += c
-            elif xv < xmin_b:
-                xmin_b = xv
-        if ra <= tol and rb <= tol:
-            break
-        if ra < 0.0:
-            ra = 0.0
-        if rb < 0.0:
-            rb = 0.0
-        det = wab * (z_a + z_b) + z_a * z_b
-        if det <= 0:
-            break  # both residuals are zero up to rounding (see module tests)
-        da = (ra * (wab + z_b) + wab * rb) / det
-        db = (wab * ra + (wab + z_a) * rb) / det
-        theta = 1.0
-        if da > 0 and xa + da > xmin_a:
-            theta = min(theta, (xmin_a - xa) / da)
-        if db > 0 and xb + db > xmin_b:
-            theta = min(theta, (xmin_b - xb) / db)
-        xa += theta * da
-        xb += theta * db
-        if theta == 1.0:
-            break
+    adjacent = [(h.c_of[j], x.get(a, 0.0), x.get(a + 1, 0.0))]
+    if i is None or dxi is None:
+        xi = xi_old = math.inf  # no early exit
     else:
-        raise RuntimeError(f"auxpush on gadget {j} did not settle")
-
-    if xa > 0:
-        x[a] = xa
-    if xb > 0:
-        x[b] = xb
-    da_total = xa - xa0
-    db_total = xb - xb0
-    if da_total > 0 or db_total > 0:
-        gamma = cfg.gamma
-        thresh = 1.0 + VIOLATION_GUARD
-        for v, xv in member_x:
-            bump = 0.0
-            if xv > xa0:
-                bump += c * (min(xv, xa) - xa0)       # (xv-xa0)+ - (xv-xa)+
-            if xb > xv:
-                bump += c * (xb - max(xv, xb0))       # (xb-xv)+ - (xb0-xv)+
-            if bump > 0.0:
-                rv = state.r.get(v, 0.0) + bump / gamma
-                state.r[v] = rv
-                if v not in state.in_queue and rv > cfg.kappa * h.degree_of[v] * thresh:
-                    state.queue.append(v)
-                    state.in_queue.add(v)
-    state.aux_pushes += 1
-    return da_total, db_total
+        xi = x.get(i, 0.0)
+        xi_old = xi - dxi
+    return _settle_pairs(h, state, cfg, i, (j,), adjacent, xi, xi_old, None)
 
 
-def _drive(h, seeds, cfg, scan, push, auxpush, on_event=None) -> SolveResult:
-    """The FIFO push loop of both solvers: dequeue, re-check, push, settle
-    the incident gadgets. scan/push/auxpush are the solver's kernels.
+def settle(h: Hypergraph, state: DiffusionState, cfg: DiffusionConfig, i: int, dxi: float,
+           adjacent, on_event=None):
+    """Settle every gadget incident to i after the push raised x_i by dxi.
+
+    adjacent is the push's scan, (c, x_a, x_b) per gadget of
+    h.incident_gadgets[i]; the push changed only x_i, so its auxiliary
+    values are still current. Emits one "auxpush" event per gadget.
+    """
+    xi = state.x[i]
+    _settle_pairs(h, state, cfg, i, h.incident_gadgets[i], adjacent, xi, xi - dxi, on_event)
+
+
+def _settle_pairs(h, state, cfg, i, gadgets, adjacent, xi, xi_old, on_event):
+    """Settle the auxiliary pair of each gadget of `gadgets` in turn, with
+    the state's reads hoisted out of the loop; adjacent[k] = (c, x_a, x_b)
+    of gadgets[k]. A pair is left as it is when the new x_i (xi) is not
+    above x_a and the old one (xi_old) not below x_b. Otherwise x_a and x_b
+    rise until both residuals are zero (a damped 2x2 solve that stops at
+    member breakpoints), the members' residuals take the induced
+    nonnegative bumps, and members pushed over the violation threshold are
+    enqueued. Returns the last gadget's (Delta x_a, Delta x_b).
+
+    A settle writes only auxiliary values, so the member values gathered for
+    one gadget hold for the next gadget of the same edge: gadgets of an
+    edge share one `members` tuple and sit side by side in
+    incident_gadgets[i].
+    """
+    x = state.x
+    xget = x.get
+    r = state.r
+    rget = r.get
+    in_queue = state.in_queue
+    enqueue = state.queue.append
+    mark = in_queue.add
+    zeros = repeat(0.0)  # the default of each member's x.get
+    records = h.settle_of
+    degree_of = h.degree_of
+    n = h.num_nodes
+    gamma = cfg.gamma
+    kappa = cfg.kappa
+    thresh = 1.0 + VIOLATION_GUARD
+    inf = math.inf
+    settled = 0
+    last = None
+    da = db = 0.0
+    state.touched_gadgets.update(gadgets)
+    for j, (c, xa0, xb0) in zip(gadgets, adjacent):
+        # Nothing moved into the active range: both residuals untouched.
+        if xi <= xa0 and xb0 <= xi_old:
+            da = db = 0.0
+            if on_event is not None:
+                on_event("auxpush", {"gadget": j, "node": i, "da": da, "db": db})
+            continue
+        wab, members, tol, rounds = records[j]
+        if members is not last:
+            last = members
+            member_x = list(map(xget, members, zeros))
+        xa, xb = xa0, xb0
+        for _round in range(rounds):
+            # One pass: the residuals, the active weights z and the nearest
+            # breakpoints above x_a and x_b. A member at x_v == x_b counts in
+            # z_b and subtracts an exact 0.0 from r_b, which leaves r_b
+            # unchanged.
+            rb = wab * (xa - xb)
+            ra = -rb  # == -wab * (xa - xb): negation is exact
+            z_a = z_b = 0.0
+            xmin_a = xmin_b = inf
+            for xv in member_x:
+                if xv > xa:
+                    ra += c * (xv - xa)
+                    z_a += c
+                    if xv < xmin_a:
+                        xmin_a = xv
+                if xv <= xb:
+                    rb -= c * (xb - xv)
+                    z_b += c
+                elif xv < xmin_b:
+                    xmin_b = xv
+            if ra <= tol and rb <= tol:
+                break
+            if ra < 0.0:
+                ra = 0.0
+            if rb < 0.0:
+                rb = 0.0
+            det = wab * (z_a + z_b) + z_a * z_b
+            if det <= 0:
+                break  # both residuals are zero up to rounding (see module tests)
+            step_a = (ra * (wab + z_b) + wab * rb) / det
+            step_b = (wab * ra + (wab + z_a) * rb) / det
+            theta = 1.0
+            if step_a > 0 and xa + step_a > xmin_a:
+                t = (xmin_a - xa) / step_a
+                if t < theta:
+                    theta = t
+            if step_b > 0 and xb + step_b > xmin_b:
+                t = (xmin_b - xb) / step_b
+                if t < theta:
+                    theta = t
+            xa += theta * step_a
+            xb += theta * step_b
+            if theta == 1.0:
+                break
+        else:
+            raise RuntimeError(f"auxpush on gadget {j} did not settle")
+
+        a = n + 2 * j
+        if xa > 0:
+            x[a] = xa
+        if xb > 0:
+            x[a + 1] = xb
+        da = xa - xa0
+        db = xb - xb0
+        if da > 0 or db > 0:
+            # Member v gains c*((xv-xa0)+ - (xv-xa)+) + c*((xb-xv)+ - (xb0-xv)+),
+            # which is c*da (c*db) for a member at or past the new x_a (at or
+            # below the old x_b).
+            bump_a = c * da
+            bump_b = c * db
+            for v, xv in zip(members, member_x):
+                if xv > xa0:
+                    bump = bump_a if xv >= xa else c * (xv - xa0)
+                    if xb > xv:
+                        bump += bump_b if xv <= xb0 else c * (xb - xv)
+                elif xb > xv:
+                    bump = bump_b if xv <= xb0 else c * (xb - xv)
+                else:
+                    continue
+                if bump > 0.0:
+                    rv = rget(v, 0.0) + bump / gamma
+                    r[v] = rv
+                    if v not in in_queue and rv > kappa * degree_of[v] * thresh:
+                        enqueue(v)
+                        mark(v)
+        settled += 1
+        if on_event is not None:
+            on_event("auxpush", {"gadget": j, "node": i, "da": da, "db": db})
+    state.aux_pushes += settled
+    return da, db
+
+
+def _drive(h, seeds, cfg, scan, push, settle, on_event=None) -> SolveResult:
+    """The FIFO push loop of both solvers: dequeue, re-check, push, settle.
+
+    scan(h, state, cfg, i) -> (r_i, adjacent, caches) recomputes i's
+    residual; push(h, state, cfg, i, r_i, d_i, adjacent, caches) raises x_i
+    and returns Delta x_i; settle(h, state, cfg, i, Delta x_i, adjacent,
+    on_event) settles every gadget incident to i, in incident_gadgets[i]
+    order, emitting one "auxpush" event each.
 
     Once cfg.max_pushes pushes are spent, the next violating node goes back
     to the queue front and the partial result comes back with
-    converged=False.
+    converged=False. state.peak_queue is the longest the queue got.
     """
     state = init_state(h, seeds, cfg)
     thresh = 1.0 + VIOLATION_GUARD
     queue = state.queue
+    peak = 0
     while queue:
+        length = len(queue)
+        if length > peak:
+            peak = length
         i = queue.popleft()
         state.in_queue.discard(i)
         di = h.degree_of[i]
@@ -354,10 +451,8 @@ def _drive(h, seeds, cfg, scan, push, auxpush, on_event=None) -> SolveResult:
         dxi = push(h, state, cfg, i, ri, di, adjacent, caches)
         if on_event is not None:
             on_event("hyperpush", {"node": i, "dx": dxi, "d": di, "r_before": ri})
-        for j in h.incident_gadgets[i]:
-            da, db = auxpush(h, state, cfg, j, i, dxi)
-            if on_event is not None:
-                on_event("auxpush", {"gadget": j, "node": i, "da": da, "db": db})
+        settle(h, state, cfg, i, dxi, adjacent, on_event)
+    state.peak_queue = peak
     xv = {v: val for v, val in state.x.items() if v < h.num_nodes and val > 0}
     return SolveResult(x=xv, state=state, converged=not queue, pushes=state.pushes,
                        sum_pushed_degree=state.sum_pushed_degree,
@@ -367,7 +462,7 @@ def _drive(h, seeds, cfg, scan, push, auxpush, on_event=None) -> SolveResult:
 def solve(h: Hypergraph, seeds, cfg: DiffusionConfig, on_event=None) -> SolveResult:
     """Run the diffusion to convergence (or to cfg.max_pushes); x restricted
     to positive original entries."""
-    return _drive(h, seeds, cfg, _scan_node, _apply_hyperpush, auxpush, on_event)
+    return _drive(h, seeds, cfg, _scan_node, _apply_hyperpush, settle, on_event)
 
 
 def ledger_bound(cfg: DiffusionConfig, seed_volume: float, delta_max: float, p: float = 2.0) -> float:

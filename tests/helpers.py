@@ -7,6 +7,7 @@ import numpy as np
 
 from hyperlocal.hypergraph import GadgetParams, Hypergraph, HypergraphFormatError, splitting_penalty
 from hyperlocal.pnorm import _residual_at
+from hyperlocal.quadratic import VIOLATION_GUARD, SolveResult, _apply_hyperpush, _scan_node, init_state
 from hyperlocal.sweep import SweepProfile
 from hyperlocal.synth import SplitMix64
 
@@ -314,3 +315,123 @@ def full_scan_cut_value(h, s):
         if 0 < inc < len(e):
             total += h.edge_penalty(k, inc)
     return total
+
+
+# ---------------------------------------------------------------------------
+# The per-gadget p = 2 auxpush and the driver loop that called it once per
+# incident gadget, kept as the reference the hoisted settle pass is
+# compared against bit for bit.
+
+
+def reference_auxpush(h, state, cfg, j, i=None, dxi=None):
+    """Restore gadget j's residuals to zero after node i was raised by dxi."""
+    x = state.x
+    a = h.num_nodes + 2 * j
+    b = a + 1
+    c = h.c_of[j]
+    wab = h.wab_of[j]
+    members = h.members_of[j]
+    state.touched_gadgets.add(j)
+    xa0 = x.get(a, 0.0)
+    xb0 = x.get(b, 0.0)
+    if i is not None and dxi is not None:
+        xi_new = x.get(i, 0.0)
+        if xi_new <= xa0 and xb0 <= xi_new - dxi:
+            return 0.0, 0.0
+
+    xa, xb = xa0, xb0
+    member_x = [(v, x.get(v, 0.0)) for v in members]
+    tol = 1e-15 * (1.0 + wab + c * len(members))
+
+    for _round in range(4 * len(members) + 8):
+        ra = -wab * (xa - xb)
+        rb = wab * (xa - xb)
+        z_a = z_b = 0.0
+        xmin_a = xmin_b = math.inf
+        for _, xv in member_x:
+            if xv > xa:
+                ra += c * (xv - xa)
+                z_a += c
+                if xv < xmin_a:
+                    xmin_a = xv
+            if xv <= xb:
+                rb -= c * (xb - xv)
+                z_b += c
+            elif xv < xmin_b:
+                xmin_b = xv
+        if ra <= tol and rb <= tol:
+            break
+        if ra < 0.0:
+            ra = 0.0
+        if rb < 0.0:
+            rb = 0.0
+        det = wab * (z_a + z_b) + z_a * z_b
+        if det <= 0:
+            break
+        da = (ra * (wab + z_b) + wab * rb) / det
+        db = (wab * ra + (wab + z_a) * rb) / det
+        theta = 1.0
+        if da > 0 and xa + da > xmin_a:
+            theta = min(theta, (xmin_a - xa) / da)
+        if db > 0 and xb + db > xmin_b:
+            theta = min(theta, (xmin_b - xb) / db)
+        xa += theta * da
+        xb += theta * db
+        if theta == 1.0:
+            break
+    else:
+        raise RuntimeError(f"auxpush on gadget {j} did not settle")
+
+    if xa > 0:
+        x[a] = xa
+    if xb > 0:
+        x[b] = xb
+    da_total = xa - xa0
+    db_total = xb - xb0
+    if da_total > 0 or db_total > 0:
+        gamma = cfg.gamma
+        thresh = 1.0 + VIOLATION_GUARD
+        for v, xv in member_x:
+            bump = 0.0
+            if xv > xa0:
+                bump += c * (min(xv, xa) - xa0)
+            if xb > xv:
+                bump += c * (xb - max(xv, xb0))
+            if bump > 0.0:
+                rv = state.r.get(v, 0.0) + bump / gamma
+                state.r[v] = rv
+                if v not in state.in_queue and rv > cfg.kappa * h.degree_of[v] * thresh:
+                    state.queue.append(v)
+                    state.in_queue.add(v)
+    state.aux_pushes += 1
+    return da_total, db_total
+
+
+def reference_solve(h, seeds, cfg, on_event=None):
+    """The p = 2 FIFO push loop with one reference_auxpush per incident gadget."""
+    state = init_state(h, seeds, cfg)
+    thresh = 1.0 + VIOLATION_GUARD
+    queue = state.queue
+    while queue:
+        i = queue.popleft()
+        state.in_queue.discard(i)
+        di = h.degree_of[i]
+        ri, adjacent, caches = _scan_node(h, state, cfg, i)
+        if ri <= cfg.kappa * di * thresh:
+            state.r[i] = ri
+            continue
+        if cfg.max_pushes is not None and state.pushes >= cfg.max_pushes:
+            queue.appendleft(i)
+            state.in_queue.add(i)
+            break
+        dxi = _apply_hyperpush(h, state, cfg, i, ri, di, adjacent, caches)
+        if on_event is not None:
+            on_event("hyperpush", {"node": i, "dx": dxi, "d": di, "r_before": ri})
+        for j in h.incident_gadgets[i]:
+            da, db = reference_auxpush(h, state, cfg, j, i, dxi)
+            if on_event is not None:
+                on_event("auxpush", {"gadget": j, "node": i, "da": da, "db": db})
+    xv = {v: val for v, val in state.x.items() if v < h.num_nodes and val > 0}
+    return SolveResult(x=xv, state=state, converged=not queue, pushes=state.pushes,
+                       sum_pushed_degree=state.sum_pushed_degree,
+                       seed_volume=state.seed_volume)

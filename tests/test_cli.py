@@ -115,6 +115,22 @@ def test_diffuse_reports_root_find_counters(tri_file, tmp_path):
     assert rep["settle_fallbacks"] == res.state.settle_fallbacks == 0
 
 
+@pytest.mark.parametrize("p", [2.0, 1.4])
+def test_diffuse_reports_work_counters(tmp_path, p):
+    graph = tmp_path / "h44.hgr"
+    graph.write_text(H44_TEXT)
+    out = tmp_path / "out"
+    rc = main(["diffuse", "--graph", str(graph), "--seed-nodes", "1",
+               "--kappa", "0.01", "--p", repr(p), "--out", str(out)])
+    assert rc == 0
+    res = pnorm_solve(parse_hypergraph(H44_TEXT), [0], DiffusionConfig(kappa=0.01, p=p))
+    rep = json.loads((out / "report.jsonl").read_text())
+    assert rep["walk_pushes"] == res.state.walk_pushes <= rep["pushes"]
+    assert rep["peak_queue"] == res.state.peak_queue >= 1
+    if p < 2.0:
+        assert rep["walk_pushes"] == rep["pushes"]
+
+
 def test_diffuse_multi_kappa_run_prefixes(tri_file, tmp_path):
     out = tmp_path / "out"
     rc = main(["diffuse", "--graph", str(tri_file), "--seed-nodes", "1",
@@ -209,6 +225,22 @@ def test_diffuse_all_zero_vector_warns_but_succeeds(tri_file, tmp_path, capsys):
     rep = json.loads((out / "report.jsonl").read_text())
     assert rep["best_conductance"] is None
     assert rep["support_size"] == 0
+
+
+def test_diffuse_all_zero_vector_emits_header_only_aux(tmp_path, capsys):
+    graph = tmp_path / "h44.hgr"
+    graph.write_text(H44_TEXT)
+    out = tmp_path / "out"
+    rc = main(["diffuse", "--graph", str(graph), "--seed-nodes", "1",
+               "--kappa", "2", "--emit-aux", "--out", str(out)])
+    assert rc == 0
+    assert "all zero" in capsys.readouterr().err
+    assert sorted(f.name for f in out.iterdir()) == [
+        "aux.csv", "cluster.txt", "report.jsonl", "solution.csv"]
+    assert (out / "aux.csv").read_text() == "gadget_id,x_a,x_b\n"
+    rep = json.loads((out / "report.jsonl").read_text())
+    assert rep["best_conductance"] is None
+    assert rep["best_set_size"] == 0
 
 
 def test_diffuse_push_cap_exits_nonconverged(tri_file, tmp_path):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import delta_max, random_instance, random_seeds
+from helpers import delta_max, random_instance, random_seeds, reference_auxpush, reference_solve
 from hyperlocal.hypergraph import GadgetParams, Hypergraph, parse_hypergraph
 from hyperlocal.oracles import _residuals_from_vector
+from hyperlocal.pnorm import pnorm_solve
 from hyperlocal.quadratic import (
     DiffusionConfig,
     DiffusionState,
@@ -24,6 +25,7 @@ from hyperlocal.quadratic import (
     node_residual,
     solve,
 )
+from hyperlocal.synth import SplitMix64, planted_hypergraph, sample_seeds
 
 H44 = parse_hypergraph("4 2\n1 2 3\n2 3 4\n")
 EDGE = Hypergraph(2, [(0, 1)])
@@ -330,6 +332,101 @@ def test_solve_push_cap_carries_partial_state():
     assert not res.converged
     assert res.pushes == 3
     assert len(res.state.queue) > 0
+
+
+# ---------------------------------------------------------------------------
+# The hoisted settle pass against the per-gadget reference, bit for bit
+
+
+def _check1_suite():
+    """The 100 instances of acceptance check 1 with their seeds and kappas."""
+    for k in range(100):
+        h = random_instance(1000 + k, max_n=50, max_m=100, max_size=8)
+        yield h, random_seeds(h, 1000 + k), 0.01 if k % 2 == 0 else 0.1
+
+
+def _multi_gadget(h, seed):
+    """h rebuilt with 1-3 distinct gadgets per edge (c from {0.5, 1, 2},
+    delta from {1, 2, 3}), so one edge's gadgets share a members tuple."""
+    rng = SplitMix64(seed)
+    params = [GadgetParams(c, d) for c in (0.5, 1.0, 2.0) for d in (1.0, 2.0, 3.0)]
+    rows = [rng.sample(params, 1 + rng.randrange(3)) for _ in range(len(h.hyperedges))]
+    return Hypergraph(h.num_nodes, h.hyperedges, rows)
+
+
+def _fingerprint(res, events):
+    """Everything a solve leaves behind, floats as float.hex."""
+    def hexed(d):
+        return [(k, v.hex()) for k, v in d.items()]
+
+    st = res.state
+    stream = [(kind, {k: v.hex() if isinstance(v, float) else v for k, v in p.items()})
+              for kind, p in events]
+    return dict(x=hexed(st.x), r=hexed(st.r), pushes=st.pushes, aux_pushes=st.aux_pushes,
+                sum_pushed_degree=st.sum_pushed_degree.hex(), queue=list(st.queue),
+                in_queue=sorted(st.in_queue), touched=sorted(st.touched_gadgets),
+                events=stream, out=hexed(res.x), converged=res.converged)
+
+
+def _traced(fn, h, seeds, c):
+    events = []
+    res = fn(h, seeds, c, on_event=lambda kind, p: events.append((kind, p)))
+    return _fingerprint(res, events)
+
+
+@pytest.mark.parametrize("gadgets", ["one", "multi"])
+@pytest.mark.parametrize("max_pushes", [None, 7])
+def test_settle_pass_matches_per_gadget_reference(gadgets, max_pushes):
+    """solve and pnorm_solve at p = 2 reproduce the per-gadget auxpush loop
+    exactly on the check-1 suite, and on it rebuilt with 1-3 gadgets per
+    edge: x, r, counters, queue, touched gadgets and the on_event stream,
+    uncapped and capped at 7 pushes."""
+    multi = 0
+    for k, (h, seeds, kappa) in enumerate(_check1_suite()):
+        if gadgets == "multi":
+            h = _multi_gadget(h, 7000 + k)
+            multi += h.num_gadgets > len(h.hyperedges)
+        c = cfg(kappa=kappa, gamma=0.1, rho=0.5, max_pushes=max_pushes)
+        want = _traced(reference_solve, h, seeds, c)
+        assert _traced(solve, h, seeds, c) == want, k
+        assert _traced(pnorm_solve, h, seeds, c) == want, k
+        if max_pushes is not None:
+            assert want["pushes"] <= max_pushes
+    assert gadgets == "one" or multi >= 90  # a one-edge instance may draw one gadget
+
+
+def test_auxpush_is_the_settle_kernel_on_one_gadget():
+    """auxpush on each gadget in turn, with and without the (i, dxi) early
+    exit, leaves the state the reference auxpush leaves."""
+    h = _multi_gadget(random_instance(31, max_n=12, max_m=16, max_size=5), 31)
+    c = cfg(kappa=0.05)
+    start = {v: 0.1 * (1 + v % 7) for v in range(h.num_nodes)}
+    for i, dxi in ((None, None), (0, 0.3), (1, 1e-3)):
+        got = state_with(h, [0], start)
+        want = state_with(h, [0], start)
+        for j in range(h.num_gadgets):
+            assert auxpush(h, got, c, j, i, dxi) == reference_auxpush(h, want, c, j, i, dxi)
+        for name in ("x", "r"):
+            assert ([(k, v.hex()) for k, v in getattr(got, name).items()]
+                    == [(k, v.hex()) for k, v in getattr(want, name).items()])
+        assert (got.aux_pushes, list(got.queue), got.touched_gadgets) == (
+            want.aux_pushes, list(want.queue), want.touched_gadgets)
+
+
+def test_work_counters_on_the_chain():
+    """On the chain of acceptance check 6 at p = 2 some pushes walk the
+    breakpoints and most do not; at p = 1.4 every push counts as a walk.
+    peak_queue is at least the seed count and never more than the nodes."""
+    h, labels = planted_hypergraph([50] * 10, 120, (3, 5), 0.05, 4242,
+                                   cross_scope="chain", delta=1.0)
+    seeds = sample_seeds(labels, 0, 5, "uniform", 99, degrees=h.degrees)
+    res = solve(h, seeds, cfg(gamma=0.1, kappa=0.01, rho=0.5))
+    st2 = res.state
+    assert 0 < st2.walk_pushes <= st2.pushes
+    assert len(seeds) <= st2.peak_queue <= h.num_nodes
+    res = pnorm_solve(h, seeds, cfg(gamma=0.1, kappa=0.01, rho=0.5, p=1.4))
+    assert res.state.walk_pushes == res.state.pushes > 0
+    assert res.state.peak_queue >= 1
 
 
 def test_ledger_bound_formulas():

@@ -257,7 +257,7 @@ class _Untouchable:
 _ARRAYS = ("edge_offsets", "edge_members", "gadget_edge", "gadget_c", "gadget_delta",
            "gadget_wab", "incidence_offsets", "incidence", "degrees")
 _VIEWS = ("incident_gadgets", "degree_of", "members_of", "edge_of", "c_of", "wab_of",
-          "delta_of")
+          "delta_of", "settle_of")
 
 
 def test_query_reads_a_local_memo_of_python_scalars(monkeypatch):
@@ -265,7 +265,8 @@ def test_query_reads_a_local_memo_of_python_scalars(monkeypatch):
     read the hypergraph only through its memoized views: the arrays are
     never touched, the row views are never iterated, and every view holds
     as many entries at both sizes. Every value that reaches the state and
-    the profile is a Python float, not a numpy scalar."""
+    the profile is a Python float, not a numpy scalar, and the settle
+    records hold only Python scalars and tuples."""
     def no_iteration(self):
         raise AssertionError("a query iterated a row view whole")
 
@@ -284,6 +285,9 @@ def test_query_reads_a_local_memo_of_python_scalars(monkeypatch):
         assert all(held[kblocks].values())
         for values in (res.state.x.values(), res.state.r.values(), prof.prefix_vol):
             assert all(type(v) is float for v in values)
+        for wab, members, tol, rounds in h.settle_of.values():
+            assert (type(wab), type(tol), type(rounds)) == (float, float, int)
+            assert type(members) is tuple and all(type(v) is int for v in members)
     assert held[10] == held[100], held
 
 
