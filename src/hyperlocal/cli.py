@@ -167,7 +167,6 @@ def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux, delta_max):
         "walk_pushes": res.state.walk_pushes,
         "peak_queue": res.state.peak_queue,
         "root_evals": res.state.root_evals,
-        "settle_fallbacks": res.state.settle_fallbacks,
         "sum_pushed_degree": res.sum_pushed_degree,
         "ledger_bound": ledger_bound(cfg, res.seed_volume, delta_max, cfg.p),
         "support_size": len(res.x),

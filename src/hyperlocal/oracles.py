@@ -53,31 +53,13 @@ def brute_min_conductance(h: Hypergraph):
     """Exact minimum-conductance set by exhaustive enumeration (n <= 20).
 
     Ties within 1e-12 are broken toward the lexicographically earliest
-    sorted node tuple. Returns ((nodes...), phi).
+    sorted node tuple of `min_conductance_family`. Returns ((nodes...), phi),
+    or ((0,), inf) when no subset has finite conductance.
     """
-    n = h.num_nodes
-    if n > BRUTE_NODE_CAP:
-        raise ValueError(f"n={n} exceeds brute-force cap {BRUTE_NODE_CAP}")
-    vmin = math.inf
-    chunks = []
-    for lo, phi in _conductance_chunks(h):
-        chunks.append((lo, phi))
-        pm = phi.min() if len(phi) else math.inf
-        if pm < vmin:
-            vmin = pm
-    if not math.isfinite(vmin):
+    phi, family = min_conductance_family(h)
+    if not family:
         return (0,), math.inf
-    tol = 1e-12 * max(1.0, abs(vmin))
-    best = None
-    for lo, phi in chunks:
-        for off in np.flatnonzero(phi <= vmin + tol):
-            mask = lo + int(off)
-            if mask == 0 or mask == (1 << n) - 1:
-                continue
-            cand = _mask_to_tuple(mask, n)
-            if best is None or cand < best:
-                best = cand
-    return best, float(vmin)
+    return min(tuple(sorted(s)) for s in family), phi
 
 
 def min_conductance_family(h: Hypergraph, tol: float = 1e-12):

@@ -10,16 +10,16 @@ guaranteed bracket:
   down to width eps, so it accepts the very point plain bisection accepts;
 - an auxiliary settle runs a safeguarded Newton iteration on x_a alone (the
   gap, and hence x_b, follows from the a-side equation in closed form). If
-  its pair misses the residual check, the slower level bisection
-  `_settle_levels` takes over.
+  its pair misses the residual bound, x_a is kept and x_b alone is bisected
+  on its own side's equation, inside the same routine `_settle_pair`.
 
 On the planted p = 1.4 fixtures a push evaluates the residual about 11
 times (plain bisection: 28) and a settle the defect about 7.6 times
-(80-step bisection: 31).
+(80-step bisection: 31). The x_b stage runs in about one auxiliary push in
+200 000 there, and in one in 4 000 at kappa = 0.0025 on the same fixtures.
 
-state.root_evals counts both kinds of evaluation and state.settle_fallbacks
-the `_settle_levels` calls; every push is a root-find, so each counts in
-state.walk_pushes.
+state.root_evals counts every kind of evaluation; every push is a
+root-find, so each counts in state.walk_pushes.
 
 Residual nonnegativity is only guaranteed up to the bisection truncation: if
 L is the local Lipschitz (for p < 2: Holder) modulus of the residual in the
@@ -44,7 +44,7 @@ from .quadratic import (
     settle,
 )
 
-_BISECT_ITERS = 80    # also caps the defect evaluations of one _settle_pair
+_BISECT_ITERS = 80    # caps the evaluations of each stage of one _settle_pair
 _ILLINOIS_EVALS = 40  # caps the residual evaluations spent on a push bracket
 
 
@@ -195,7 +195,15 @@ def _settle_pair(member_x, c, wab, q, xa0, xb0, tol, state=None):
     80 evaluations are made. The iteration stops on the residual, not on a
     coordinate tolerance: fractional powers turn coordinate error beside a
     member value into first-order residual error ((1e-15)^q is ~1e-6 for
-    q=0.4). Evaluations are added to state.root_evals when state is given.
+    q=0.4).
+
+    The pair's residuals come from the last evaluation's member sums. When
+    they miss the bound of `_settle_bound`, x_a is kept and x_b alone is
+    bisected on the b-side equation, at most 80 more evaluations: with x_a
+    pinned against one member value, the composed x_b = x_a - G can sit
+    within 1e-12 of another, where the q-power turns its rounding into
+    residual error that no x_a can remove. Evaluations of both stages are
+    added to state.root_evals when state is given.
     """
     xs = sorted(xv for _, xv in member_x)
     xmin = xs[0]
@@ -252,67 +260,50 @@ def _settle_pair(member_x, c, wab, q, xa0, xb0, tol, state=None):
             step = t - mid
             t = mid
         last_step = abs(step)
+    xa = max(t, xa0)
+    if xa == t and xb >= xb0:
+        core = wab * (t - xb) ** q
+        ra, rb = y - core, core - c * acc
+    else:
+        xb = max(xb, xb0)
+        ra, rb = _pair_residuals(member_x, c, wab, q, xa, xb)
+    err = max(abs(ra), abs(rb))
+    if err > 10 * tol and err > _settle_bound(tol, wab, c, q, max(xmax, xa)):
+        # Keep x_a and bisect x_b alone on f(u) = w_ab*(x_a - u)^q - below(u),
+        # strictly decreasing on [x_min, x_a]; f(xb) = rb picks the side of
+        # xb the root is on. Keep the evaluated point of smallest |f|.
+        lo, hi = (xb, xa) if rb > 0.0 else (xmin, xb)
+        best = abs(rb)
+        for _ in range(_BISECT_ITERS):
+            u = 0.5 * (lo + hi)
+            if not lo < u < hi:
+                break
+            evals += 1
+            f = wab * (xa - u) ** q
+            for xv in xs:
+                if xv >= u:
+                    break
+                f -= c * (u - xv) ** q
+            if abs(f) < best:
+                best, xb = abs(f), u
+                if best <= settle:
+                    break
+            if f > 0.0:
+                lo = u
+            else:
+                hi = u
+        xb = max(xb, xb0)
     if state is not None:
         state.root_evals += evals
-    return max(t, xa0), max(min(xb, t), xb0)
+    return xa, xb
 
 
-def _settle_levels(member_x, c, wab, q, tol):
-    """Slow-path joint root: bisect the shared flow level y = w_ab*G^q.
-
-    Each coordinate is recovered independently as the inverse of its own
-    one-sided member sum at level y. That costs two inner bisections per
-    outer step, but it keeps both residuals function-accurate even when the
-    root pins x_a and x_b against two different member values at once; the
-    composed form quantizes the derived coordinate by (1 + dG/dx_a) ulps,
-    which the q-power amplifies past any fixed tolerance in that corner.
-    """
-    xs = [xv for _, xv in member_x]
-    xmax = max(xs)
-    xmin = min(xs)
-    settle = 0.01 * tol
-
-    def above(t):
-        acc = 0.0
-        for xv in xs:
-            acc += c * _gap(xv - t, q)
-        return acc
-
-    def below(u):
-        acc = 0.0
-        for xv in xs:
-            acc += c * _gap(u - xv, q)
-        return acc
-
-    def invert(f, lo, hi):
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            if abs(fm) <= settle:
-                return mid
-            if fm > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    def inv_a(y):
-        lo = xmin - (y / c) ** (1.0 / q) - 1.0
-        return invert(lambda t: above(t) - y, lo, xmax)
-
-    def inv_b(y):
-        hi = xmax + (y / c) ** (1.0 / q) + 1.0
-        return invert(lambda u: y - below(u), xmin, hi)
-
-    lo_y, hi_y = 0.0, above(xmin)
-    for _ in range(_BISECT_ITERS):
-        y = 0.5 * (lo_y + hi_y)
-        if inv_a(y) - inv_b(y) - (y / wab) ** (1.0 / q) > 0.0:
-            lo_y = y
-        else:
-            hi_y = y
-    y = 0.5 * (lo_y + hi_y)
-    return inv_a(y), inv_b(y)
+def _settle_bound(tol, wab, c, q, xtop):
+    """The residual a settled pair may carry: 10*tol of solver slack plus a
+    floor. When the root sits within one ulp of a member value, the nearest
+    representable pair still carries up to (w_ab + c) * ulp^q of residual
+    (the q-power jumps that much across a single float step)."""
+    return 10 * tol + 2 * (wab + c) * math.ulp(xtop) ** q
 
 
 def _pair_residuals(member_x, c, wab, q, xa, xb):
@@ -333,7 +324,9 @@ def pnorm_auxpush(h: Hypergraph, state, cfg: DiffusionConfig, j: int,
 
     Same contract as the quadratic auxpush: returns nonnegative increments
     (Delta x_a, Delta x_b), bumps member residuals by the induced nonnegative
-    amounts, and enqueues members pushed above the violation threshold.
+    amounts, and enqueues members pushed above the violation threshold. The
+    settled pair's residuals are recomputed once; a pair that misses the
+    bound of `_settle_bound` raises RuntimeError rather than being stored.
     """
     x = state.x
     a, b = aux_ids(h, j)
@@ -358,22 +351,11 @@ def pnorm_auxpush(h: Hypergraph, state, cfg: DiffusionConfig, j: int,
         ra, rb = _pair_residuals(member_x, c, wab, q, xa, xb)
         err = max(abs(ra), abs(rb))
         if err > 10 * tol:
-            # When the root sits within one ulp of a member value, the nearest
-            # representable pair still carries up to (w_ab + c) * ulp^q of
-            # residual (the q-power jumps that much across a single float
-            # step), so the sanity check allows that floor on top of the
-            # solver slack.
             xmax = max(xv for _, xv in member_x)
-            bound = 10 * tol + 2 * (wab + c) * math.ulp(max(xmax, xa)) ** q
-            if err > bound:
-                state.settle_fallbacks += 1
-                xa, xb = _settle_levels(member_x, c, wab, q, tol)
-                xa = max(xa, xa0)
-                xb = max(min(xb, xa), xb0)
-                ra, rb = _pair_residuals(member_x, c, wab, q, xa, xb)
-                if max(abs(ra), abs(rb)) > bound:
-                    raise RuntimeError(
-                        f"p-norm auxpush on gadget {j} did not settle")
+            if err > _settle_bound(tol, wab, c, q, max(xmax, xa)):
+                raise RuntimeError(
+                    f"p-norm auxpush on gadget {j} did not settle "
+                    f"(residual {err:.3g})")
 
     if xa > 0:
         x[a] = xa

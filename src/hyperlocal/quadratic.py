@@ -71,10 +71,9 @@ class DiffusionState:
     touched_gadgets: set = field(default_factory=set)
     pushes: int = 0
     aux_pushes: int = 0
-    root_evals: int = 0        # p-norm push residual + settle defect evaluations
+    root_evals: int = 0        # p-norm push residual + settle residual evaluations
     walk_pushes: int = 0       # pushes off the one-solve fast path (every p < 2 push)
     peak_queue: int = 0        # longest the queue got
-    settle_fallbacks: int = 0  # p-norm settles that fell back to _settle_levels
     sum_pushed_degree: float = 0.0
     seed_volume: float = 0.0
 
@@ -220,17 +219,18 @@ def _solve_push_amount(cfg, xi, ri, di, adjacent, caches, state=None):
             w_active += c
             events.append((xb, -c))
     events.sort()
+    events.append((math.inf, 0.0))  # sentinel: a finite t_star stops here
     t_cur, f_cur = xi, ri
     k = 0
     while True:
         slope = w_active / gamma + di
-        t_next = events[k][0] if k < len(events) else math.inf
+        t_next = events[k][0]
         t_star = t_cur + (f_cur - target) / slope
         if t_star <= t_next:
             return t_star - xi
         f_cur -= slope * (t_next - t_cur)
         t_cur = t_next
-        while k < len(events) and events[k][0] == t_next:
+        while events[k][0] == t_next:
             w_active += events[k][1]
             k += 1
 

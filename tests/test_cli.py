@@ -112,7 +112,6 @@ def test_diffuse_reports_root_find_counters(tri_file, tmp_path):
     res = pnorm_solve(h, [0], DiffusionConfig(kappa=0.1, p=1.4))
     rep = json.loads((out / "report.jsonl").read_text())
     assert rep["root_evals"] == res.state.root_evals > 0
-    assert rep["settle_fallbacks"] == res.state.settle_fallbacks == 0
 
 
 @pytest.mark.parametrize("p", [2.0, 1.4])

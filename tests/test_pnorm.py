@@ -340,7 +340,7 @@ def _pair_error(xs, c, wab, q, xa, xb):
 def test_settle_pair_meets_auxpush_bound(q):
     """On 80 member sets per q (320 in all) the Newton settle, like the
     reference bisection, meets the residual bound 10*tol + 2*floor that
-    pnorm_auxpush checks before it falls back to _settle_levels. The start
+    pnorm_auxpush checks before it stores the pair. The start
     is the previous root with one member lowered, as after a push, or
     (0, 0) for a fresh gadget."""
     rng = random.Random(f"settle/{q}")
@@ -381,6 +381,123 @@ def test_settle_pair_escapes_newton_cycle():
     assert _pair_error(xs, 1.0, 1.0, q, xa, xb) <= 10 * tol + 2 * floor
 
 
+# Settles whose Newton pair missed the auxpush bound, logged as
+# (member_x, c, wab, q, tol, xa0, xb0) from p = 1.4 solves: four from the
+# planted-pnorm benchmark (seeds 0-2), five from acceptance check 2. In
+# each, Newton's x_a sits within 2e-15 of a member value, its a-residual is
+# below 4e-16, and the composed x_b = x_a - G leaves a b-residual of 3.5e-7
+# to 2.0e-5 against bounds of 6.9e-8 to 3.0e-7.
+MISSED_SETTLES = [
+    ([(207, 2.101062081705811e-06), (257, 2.0116567611694336e-07),
+      (261, 8.717177429895528e-07), (275, 3.7401862316742873e-06),
+      (310, 1.4156103134155273e-07), (311, 4.6193594455123943e-07)],
+     1.0, 1.0, 0.3999999999999999, 8e-09,
+     2.1005864453005236e-06, 2.987606302173801e-07),
+    ([(0, 2.1830185410468963e-06), (70, 3.129243850708008e-07),
+      (99, 3.3900099278306626e-06), (137, 2.36183219481982e-06),
+      (179, 1.3336534822050439e-06)],
+     1.0, 1.0, 0.3999999999999999, 7.000000000000001e-09,
+     2.3610513056134374e-06, 1.180525653066495e-06),
+    ([(106, 5.6624404720651e-07), (120, 2.086162567138672e-07),
+      (157, 1.2814993477495219e-06), (184, 9.238717153526028e-07)],
+     1.0, 1.0, 0.3999999999999999, 6.000000000000001e-09,
+     9.16438968482391e-07, 5.513785892152599e-07),
+    ([(241, 3.7997961044311523e-07), (281, 7.599592208862305e-07), (285, 0.0),
+      (370, 1.1399385887456148e-06)],
+     1.0, 1.0, 0.3999999999999999, 6.000000000000001e-09,
+     5.066394805904387e-07, 2.533197402946469e-07),
+    ([(0, 0.006112183523889651), (2, 0.0061140204390734785),
+      (3, 0.006115856162751023), (5, 0.0061103685339016205)],
+     1.0, 1.0, 0.3999999999999999, 6.000000000000001e-09,
+     0.006114011668820915, 0.006111575481052503),
+    ([(0, 0.006279886281267662), (2, 0.006281959773524925),
+      (3, 0.006284032145858565), (5, 0.006277827225945824)],
+     1.0, 1.0, 0.3999999999999999, 6.000000000000001e-09,
+     0.006281873013919162, 0.006279850119932552),
+    ([(1, 0.000317821340546402), (4, 0.0003178883692555941),
+      (5, 0.00031843954319846077), (7, 0.0003169722347410816),
+      (9, 0.0003174563744940275), (11, 0.0003175755476737349),
+      (12, 0.00031766492270154326), (15, 0.0003179479623928585)],
+     1.0, 1.0, 0.3999999999999999, 1e-08,
+     0.0003179194897018252, 0.0003174458622214656),
+    ([(2, 0.0005707100824126666), (3, 0.0005675081621527942),
+      (4, 0.0005671954159693036), (8, 0.0005680294482263135),
+      (10, 0.0005691761714387262), (11, 0.0005676421940353889)],
+     1.0, 1.0, 0.3999999999999999, 8e-09,
+     0.0005683603172345818, 0.0005675444630304374),
+    ([(2, 0.0006625664033462566), (3, 0.0006522687937856491),
+      (4, 0.0006628789716863171), (6, 0.0006598261814518112),
+      (14, 0.0006523581277419725), (16, 0.0006516656629152239),
+      (17, 0.000654107838381373), (22, 0.0006612111035877126)],
+     1.0, 1.0, 0.3999999999999999, 1e-08,
+     0.0006612110635940519, 0.0006525292128982396),
+]
+
+
+@pytest.mark.parametrize("case", MISSED_SETTLES)
+def test_settle_pair_meets_bound_where_newton_missed(case):
+    """_settle_pair alone meets the auxpush bound on settles whose Newton
+    pair missed it; the x_b stage's evaluations are counted."""
+    member_x, c, wab, q, tol, xa0, xb0 = case
+    st = DiffusionState()
+    xa, xb = _settle_pair(member_x, c, wab, q, xa0, xb0, tol, st)
+    xs = [xv for _, xv in member_x]
+    assert xa >= xb >= xb0 and xa >= xa0
+    floor = (wab + c) * math.ulp(max(max(xs), xa)) ** q
+    assert _pair_error(xs, c, wab, q, xa, xb) <= 10 * tol + 2 * floor
+    assert st.root_evals > 0
+
+
+def _clustered_members(rng, lattice):
+    """2-8 member values at a scale in [1e-7, 1e-2]: all within 1e-6
+    relative of one base value or, with lattice set, k*s for k = 0, 1, ...
+    with each spacing within 1e-6 relative of s. The lattice pins the joint
+    root of a gadget with w_ab = c on two member values at once."""
+    s = 10 ** -rng.uniform(2, 7)
+    n = rng.randint(2, 8)
+    if lattice:
+        return [k * s * (1.0 + rng.choice([0.0, rng.uniform(-1e-6, 1e-6)]))
+                for k in range(n)]
+    return [s * (1.0 + rng.uniform(-1e-6, 1e-6)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("q", [0.3, 0.4, 0.6])
+def test_settle_pair_meets_bound_on_clustered_members(q):
+    """Seeded search, 300 member sets per (q, family), 1800 in all: no
+    settle misses the auxpush bound. Without the x_b stage the Newton pair
+    misses on 7 of the lattice sets and on none of the clustered ones. The start is the settled root of the set with one
+    member lowered, as in a solve, or (0, 0). (The reference bisection
+    misses on lattice sets too, and a start pair whose x_b sits above the
+    root leaves no pair at or above it within the bound.)"""
+    for lattice in (False, True):
+        rng = random.Random(f"clustered/{q}/{lattice}")
+        for _ in range(300):
+            xs = _clustered_members(rng, lattice)
+            c = rng.choice([1.0, 0.5, 2.0])
+            wab = c * rng.choice([1.0, 2.0, 3.0])
+            tol = 1e-9 * (1.0 + wab + c * len(xs))
+            xa0 = xb0 = 0.0
+            if rng.random() < 0.75:
+                before = list(xs)
+                before[rng.randrange(len(xs))] *= rng.random()
+                xa0, xb0 = _settle_pair(list(enumerate(before)), c, wab, q, 0.0, 0.0, tol)
+            xa, xb = _settle_pair(list(enumerate(xs)), c, wab, q, xa0, xb0, tol)
+            assert xa >= xb >= xb0 and xa >= xa0
+            floor = (wab + c) * math.ulp(max(max(xs), xa)) ** q
+            err = _pair_error(xs, c, wab, q, xa, xb)
+            assert err <= 10 * tol + 2 * floor, (xs, c, wab, xa0, xb0)
+
+
+def test_unsettled_pair_raises(monkeypatch):
+    """A settle that leaves its pair outside the bound fails loudly: with
+    _settle_pair handing back its start pair, the solve raises instead of
+    returning a result."""
+    monkeypatch.setattr(pnorm_mod, "_settle_pair",
+                        lambda member_x, c, wab, q, xa0, xb0, tol, state=None: (xa0, xb0))
+    with pytest.raises(RuntimeError, match="gadget 0 did not settle"):
+        pnorm_solve(TRIANGLE, [0], cfg(kappa=0.01, p=1.4))
+
+
 def test_root_find_work_counters(monkeypatch):
     """On planted fixture 1000 at p = 1.4 (kappa = vol(R)/3000, the
     benchmark's setting) a settle takes at most 10 defect evaluations and a
@@ -411,4 +528,3 @@ def test_root_find_work_counters(monkeypatch):
     assert res.state.root_evals == push_evals + settle_evals
     assert push_evals <= 16 * pushes
     assert settle_evals <= 10 * settles
-    assert res.state.settle_fallbacks == 0
