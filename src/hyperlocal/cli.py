@@ -1,7 +1,8 @@
 """Command-line driver: diffuse, sweep, eval, gen, check.
 
-Exit codes: 0 success, 1 usage error, 2 I/O error, 3 solver non-convergence
-or failed check. All randomness enters through explicit --rng flags.
+Exit codes: 0 success, 1 usage error, 2 I/O error, 3 solver non-convergence,
+solver failure or failed check. All randomness enters through explicit --rng
+flags.
 """
 
 from __future__ import annotations
@@ -155,6 +156,7 @@ def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux, delta_max):
     t0 = time.perf_counter()
     res = pnorm_solve(h, seeds, cfg)
     solve_s = round(time.perf_counter() - t0, 6)
+    bound = ledger_bound(cfg, res.seed_volume, delta_max, cfg.p)
     timings = {"solve_s": solve_s, "sweep_s": 0.0, "write_s": 0.0}
     report = {
         "seeds": [v + 1 for v in seeds],
@@ -168,7 +170,7 @@ def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux, delta_max):
         "peak_queue": res.state.peak_queue,
         "root_evals": res.state.root_evals,
         "sum_pushed_degree": res.sum_pushed_degree,
-        "ledger_bound": ledger_bound(cfg, res.seed_volume, delta_max, cfg.p),
+        "ledger_bound": None if math.isinf(bound) else bound,
         "support_size": len(res.x),
     }
     if not res.converged:
@@ -218,7 +220,7 @@ def _cmd_diffuse(args) -> int:
     for tag, seeds in seed_sets:
         for kappa in args.kappa:
             cfg = DiffusionConfig(kappa=kappa, gamma=args.gamma, rho=args.rho,
-                                  p=args.p, eps=args.eps, max_pushes=args.max_pushes)
+                                  p=args.p, max_pushes=args.max_pushes)
             runs.append((tag, seeds, cfg))
 
     outdir = args.out.rstrip("/") or "."
@@ -316,8 +318,7 @@ def _cmd_check(args) -> int:
     else:
         h = parse_hypergraph(_CHECK_DEFAULT, default_delta=_delta(args))
         seeds = [0]
-    cfg = DiffusionConfig(kappa=args.kappa, gamma=args.gamma, rho=args.rho,
-                          p=args.p, eps=args.eps)
+    cfg = DiffusionConfig(kappa=args.kappa, gamma=args.gamma, rho=args.rho, p=args.p)
     failures = 0
 
     def report(name, ok, detail=""):
@@ -395,9 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=_DELTA_HELP)
         p.add_argument("--p", type=float, default=2.0,
                        help="norm exponent in (1,2] (default 2.0, closed-form path)")
-        p.add_argument("--eps", type=float, default=1e-8,
-                       help="width at which the p-norm push stops bracketing "
-                            "x_i (default 1e-8)")
         if kappa_multi:
             p.add_argument("--kappa", type=float, nargs="+", required=True,
                            help=_KAPPA_HELP)
@@ -467,6 +465,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"hyperlocal: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        # A push or settle that cannot meet its residual bound.
+        print(f"hyperlocal: error: {exc}", file=sys.stderr)
+        return EXIT_NOCONV
 
 
 if __name__ == "__main__":

@@ -3,29 +3,31 @@
 Same push dynamics and queue policy as the quadratic solver, with every flow
 term raised to the q = p-1 power. The closed forms are gone, so each push
 and each auxiliary settle is a monotone one-dimensional root-find inside a
-guaranteed bracket:
+guaranteed bracket, stopped on the residual rather than on a coordinate
+width (near a member value the q-power turns coordinate error into
+first-order residual error):
 
 - a hyperpush brackets the crossing of its target on [x_i, 1] with Illinois
-  (modified regula falsi) steps, then replays the bisection grid of [x_i, 1]
-  down to width eps, so it accepts the very point plain bisection accepts;
+  (modified regula falsi) steps until the residual lands within
+  tau*kappa*d_i of rho*kappa*d_i, tau = _PUSH_TOL, as the nonlinear push of
+  Liu and Gleich (NeurIPS 2020) solves each push equation to a residual
+  tolerance;
 - an auxiliary settle runs a safeguarded Newton iteration on x_a alone (the
   gap, and hence x_b, follows from the a-side equation in closed form). If
   its pair misses the residual bound, x_a is kept and x_b alone is bisected
   on its own side's equation, inside the same routine `_settle_pair`.
 
-On the planted p = 1.4 fixtures a push evaluates the residual about 11
-times (plain bisection: 28) and a settle the defect about 7.6 times
-(80-step bisection: 31). The x_b stage runs in about one auxiliary push in
-200 000 there, and in one in 4 000 at kappa = 0.0025 on the same fixtures.
+So a push leaves its node's residual in [0, kappa*d_i] and a settle leaves
+its pair within `_settle_bound`, or the solve raises RuntimeError naming the
+node or gadget. A push raises when no float meets its bound: as p nears 1
+the residual can jump by more than kappa*d_i across one float step of x_i
+(p <= 1.05 on a single 3-node hyperedge).
+
+On the planted p = 1.4 fixtures a push evaluates the residual about 12
+times and a settle the defect about 7.6 times (80-step bisection: 31).
 
 state.root_evals counts every kind of evaluation; every push is a
 root-find, so each counts in state.walk_pushes.
-
-Residual nonnegativity is only guaranteed up to the bisection truncation: if
-L is the local Lipschitz (for p < 2: Holder) modulus of the residual in the
-pushed coordinate, the stored residual sits within 2*eps*L of the exact
-crossing. L is finite whenever the active gaps at the accepted point are
-bounded away from zero, which the tests check empirically rather than assume.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from .quadratic import (
     settle,
 )
 
-_BISECT_ITERS = 80    # caps the evaluations of each stage of one _settle_pair
-_ILLINOIS_EVALS = 40  # caps the residual evaluations spent on a push bracket
+_BISECT_ITERS = 80  # caps the evaluations of each stage of one _settle_pair
+_PUSH_TOL = 1e-9    # tau: a push lands r_i within tau*kappa*d_i of its target
 
 
 def _gap(z: float, q: float) -> float:
@@ -107,75 +109,66 @@ def _scan(h, state, cfg, i):
 
 
 def _push(h, state, cfg, i, ri, di, adjacent, caches):
-    """Raise x_i until the recomputed residual falls to its rho*kappa*d_i target.
+    """Raise x_i until the recomputed residual lands within tau*kappa*d_i of
+    its rho*kappa*d_i target (tau = _PUSH_TOL) and store that residual.
 
     The residual f is strictly decreasing in the coordinate, f(x_i) = r_i is
     above the target and f(1) is nonpositive, so the crossing lies in
-    [x_i, 1]. Illinois (modified regula falsi) steps first shrink a bracket
-    [L, U] with f(L) > target >= f(U) to under eps/4. Then the bisection of
-    [x_i, 1] that stops at hi - lo <= eps is replayed: a midpoint at or below
-    L moves lo and one at or above U moves hi without an evaluation, so only
-    the few midpoints inside (L, U) cost one. The accepted point is the final
-    hi, the point plain bisection accepts, and the stored residual is the
-    recomputed value there (<= target), not the target itself.
+    [x_i, 1]. Illinois (modified regula falsi) steps shrink a bracket [L, U]
+    with f(L) > target >= f(U) until an evaluated point lands in the band.
+    When three steps in a row have not halved the bracket, the next one
+    bisects it, which bounds the loop (bisecting after every step that does
+    not halve it costs 18 evaluations per push on the planted p = 1.4
+    fixtures instead of 12). If the bracket shrinks to two adjacent floats
+    first, the end whose residual is nearer the target is taken when that
+    residual lies in [0, kappa*d_i]; otherwise RuntimeError names the node.
     """
     xi = state.x.get(i, 0.0)
     ind = 1.0 if i in state.seeds else 0.0
-    target = cfg.rho * cfg.kappa * di
-    eps = cfg.eps
-    lo_x = xi
-    hi_x = 1.0
-    hi_f = _residual_at(cfg, adjacent, ind, di, hi_x)
+    kd = cfg.kappa * di
+    target = cfg.rho * kd
+    band = min(_PUSH_TOL, cfg.rho, 1.0 - cfg.rho) * kd  # keeps the band in [0, kd]
+    lo, r_lo = xi, ri
+    hi = t = 1.0
+    r_hi = rt = _residual_at(cfg, adjacent, ind, di, hi)
     evals = 1
-    f_lo = ri - target
-    f_hi = hi_f - target
+    f_lo = r_lo - target
+    f_hi = r_hi - target
     side = 0
-    while hi_x - lo_x >= 0.25 * eps and evals < _ILLINOIS_EVALS:
-        t = lo_x + f_lo * ((hi_x - lo_x) / (f_lo - f_hi))
-        if not lo_x < t < hi_x:
-            t = 0.5 * (lo_x + hi_x)
-            if not lo_x < t < hi_x:
+    bisect = False
+    w1 = w2 = w3 = hi - lo  # bracket widths before the last three steps
+    while abs(rt - target) > band:
+        w3, w2, w1 = w2, w1, hi - lo
+        t = 0.5 * (lo + hi) if bisect else lo + f_lo * (w1 / (f_lo - f_hi))
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+            if not lo < t < hi:
+                t, rt = (lo, r_lo) if r_lo - target < target - r_hi else (hi, r_hi)
+                if not 0.0 <= rt <= kd:
+                    raise RuntimeError(
+                        f"p-norm push on node {i} cannot meet its residual "
+                        f"target (residual {rt:.3g}, target {target:.3g})")
                 break
-        ft = _residual_at(cfg, adjacent, ind, di, t)
+        rt = _residual_at(cfg, adjacent, ind, di, t)
         evals += 1
-        if ft > target:
-            lo_x, f_lo = t, ft - target
+        if rt > target:
+            lo, r_lo, f_lo = t, rt, rt - target
             if side > 0:
                 f_hi *= 0.5
             side = 1
         else:
-            hi_x, hi_f = t, ft
-            f_hi = ft - target
+            hi, r_hi, f_hi = t, rt, rt - target
             if side < 0:
                 f_lo *= 0.5
             side = -1
-    lo, hi = xi, 1.0
-    for _ in range(200):
-        if hi - lo <= eps:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo_x:
-            lo = mid
-        elif mid >= hi_x:
-            hi = mid
-        else:
-            fm = _residual_at(cfg, adjacent, ind, di, mid)
-            evals += 1
-            if fm > target:
-                lo = lo_x = mid
-            else:
-                hi = hi_x = mid
-                hi_f = fm
-    if hi != hi_x:
-        hi_f = _residual_at(cfg, adjacent, ind, di, hi)
-        evals += 1
-    state.x[i] = hi
-    state.r[i] = hi_f
+        bisect = hi - lo > 0.5 * w3
+    state.x[i] = t
+    state.r[i] = rt
     state.root_evals += evals
     state.walk_pushes += 1
     state.pushes += 1
     state.sum_pushed_degree += di
-    return hi - xi
+    return t - xi
 
 
 def _settle_pair(member_x, c, wab, q, xa0, xb0, tol, state=None):

@@ -43,10 +43,17 @@ class DiffusionConfig:
     gamma: float = 0.1
     rho: float = 0.5
     p: float = 2.0
-    eps: float = 1e-8
     max_pushes: int | None = None  # None: no cap; else stop unconverged after this many
 
     def __post_init__(self):
+        # Python floats: a numpy scalar here would make every x and r value
+        # a numpy scalar, which slows the push arithmetic about twofold.
+        self.kappa = float(self.kappa)
+        self.gamma = float(self.gamma)
+        self.rho = float(self.rho)
+        self.p = float(self.p)
+        if self.max_pushes is not None:
+            self.max_pushes = int(self.max_pushes)
         if not (0 < self.gamma < math.inf):
             raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         if not (0 < self.kappa < math.inf):
@@ -55,8 +62,6 @@ class DiffusionConfig:
             raise ValueError(f"rho must be in (0,1), got {self.rho}")
         if not (1 < self.p <= 2):
             raise ValueError(f"p must be in (1,2], got {self.p}")
-        if not (0 < self.eps < math.inf):
-            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
         if self.max_pushes is not None and self.max_pushes < 0:
             raise ValueError(f"max_pushes must be >= 0, got {self.max_pushes}")
 
@@ -484,9 +489,14 @@ def ledger_bound(cfg: DiffusionConfig, seed_volume: float, delta_max: float, p: 
     the returned form is unproved here; no run has exceeded it (largest
     ratio 1/3 over 1600 delta = 1 solves with gamma in {0.1, 1, 5, 20} and
     kappa in {0.1, 0.01}). The p < 2 form is not derived in this module.
+    Near p = 1 its q-th powers leave the float range; the bound is then
+    math.inf.
     """
     gk = cfg.gamma * cfg.kappa
     if p == 2.0:
         return (gk + delta_max) * seed_volume / (gk * (1 - cfg.rho))
     q = 1.0 / (p - 1.0)
-    return (gk + delta_max) ** q * seed_volume / ((p - 1.0) * (gk * (1 - cfg.rho)) ** q)
+    try:
+        return (gk + delta_max) ** q * seed_volume / ((p - 1.0) * (gk * (1 - cfg.rho)) ** q)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf

@@ -6,7 +6,6 @@ import math
 import numpy as np
 
 from hyperlocal.hypergraph import GadgetParams, Hypergraph, HypergraphFormatError, splitting_penalty
-from hyperlocal.pnorm import _residual_at
 from hyperlocal.quadratic import VIOLATION_GUARD, SolveResult, _apply_hyperpush, _scan_node, init_state
 from hyperlocal.sweep import SweepProfile
 from hyperlocal.synth import SplitMix64
@@ -104,28 +103,6 @@ def full_scan_delta_bar(h, s):
         if 0 < inside < len(edge):
             best = max(best, min(edge_delta.get(k, 1.0), len(edge) / 2.0))
     return best
-
-
-def bisection_push(h, state, cfg, i, ri, di, adjacent, caches):
-    """Reference p-norm push: plain bisection of [x_i, 1] to width eps."""
-    xi = state.x.get(i, 0.0)
-    ind = 1.0 if i in state.seeds else 0.0
-    target = cfg.rho * cfg.kappa * di
-    lo, hi = xi, 1.0
-    for _ in range(200):
-        if hi - lo <= cfg.eps:
-            break
-        mid = 0.5 * (lo + hi)
-        if _residual_at(cfg, adjacent, ind, di, mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    xnew = hi
-    state.x[i] = xnew
-    state.r[i] = _residual_at(cfg, adjacent, ind, di, xnew)
-    state.pushes += 1
-    state.sum_pushed_degree += di
-    return xnew - xi
 
 
 def bisection_settle_pair(member_x, c, wab, q, xa0, xb0, tol):

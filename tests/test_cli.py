@@ -405,10 +405,43 @@ def test_check_gadgets_or_seeds_without_graph_is_usage_error(quad_files, tmp_pat
     assert main(["check", "--seeds", str(seeds), "--kappa", "0.1"]) == 1
 
 
-def test_check_passes_eps_to_the_solver(capsys):
-    # A coarse bisection tolerance must reach the p-norm kernels and show.
-    assert main(["check", "--kappa", "0.1", "--p", "1.4", "--eps", "0.5"]) == 3
-    assert "FAIL solver residual bounds" in capsys.readouterr().out
+def test_check_pnorm_battery_has_no_push_width_option(capsys):
+    # The p-norm push stops on its residual, so no width option can coarsen
+    # it into a wrong answer (--eps 0.5 once gave residual -2.0): the
+    # residual and replay checks pass and --eps is a usage error.
+    assert main(["check", "--kappa", "0.1", "--p", "1.4"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert "ok   solver residual bounds" in out
+    assert "ok   push replay agreement" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--kappa", "0.1", "--p", "1.4", "--eps", "0.5"])
+    assert exc.value.code == 1
+
+
+def test_diffuse_solver_failure_exits_three(tri_file, tmp_path, capsys):
+    # At p = 1.01 no float x_i lands the 3-node hyperedge's push residual in
+    # [0, kappa*d_i]: the solver raises and the CLI reports it in one line.
+    out = tmp_path / "out"
+    rc = main(["diffuse", "--graph", str(tri_file), "--seed-nodes", "1",
+               "--kappa", "0.01", "--p", "1.01", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("hyperlocal: error: p-norm push on node")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "solution.csv").exists()
+
+
+def test_diffuse_reports_unrepresentable_ledger_bound_as_null(tri_file, tmp_path):
+    # At p = 1.01 the bound's 100th powers leave the float range. kappa = 1
+    # pushes nothing, so the run converges and the record is written.
+    out = tmp_path / "out"
+    rc = main(["diffuse", "--graph", str(tri_file), "--seed-nodes", "1",
+               "--kappa", "1", "--gamma", "0.001", "--p", "1.01", "--out", str(out)])
+    assert rc == 0
+    rep = json.loads((out / "report.jsonl").read_text())
+    assert rep["converged"] is True and rep["pushes"] == 0
+    assert rep["ledger_bound"] is None
 
 
 def test_check_missing_graph_is_io_error(tmp_path):

@@ -57,11 +57,11 @@ def state_with(h, seeds, x=None):
     dict(kappa=0.1, rho=1.0),
     dict(kappa=0.1, p=1.0),
     dict(kappa=0.1, p=2.5),
-    dict(kappa=0.1, eps=0.0),
+    dict(kappa=0.1, p=math.nan),
     dict(kappa=math.inf),
     dict(kappa=math.nan),
     dict(kappa=0.1, gamma=math.inf),
-    dict(kappa=0.1, eps=math.inf),
+    dict(kappa=0.1, rho=math.nan),
     dict(kappa=0.1, max_pushes=-1),
 ])
 def test_config_rejects_out_of_range(bad):
