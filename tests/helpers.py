@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from hyperlocal.hypergraph import GadgetParams, Hypergraph, HypergraphFormatError, splitting_penalty
+from hyperlocal.pnorm import _PUSH_TOL, _residual_at
 from hyperlocal.quadratic import VIOLATION_GUARD, SolveResult, _apply_hyperpush, _scan_node, init_state
 from hyperlocal.sweep import SweepProfile
 from hyperlocal.synth import SplitMix64
@@ -103,6 +104,37 @@ def full_scan_delta_bar(h, s):
         if 0 < inside < len(edge):
             best = max(best, min(edge_delta.get(k, 1.0), len(edge) / 2.0))
     return best
+
+
+def bisection_push(h, state, cfg, i, ri, di, adjacent, caches):
+    """Reference p-norm push: plain bisection of [x_i, 1] with the push's
+    stop, a residual within tau*kappa*d_i of rho*kappa*d_i, or a bracket of
+    two adjacent floats whose nearer end must lie in [0, kappa*d_i]."""
+    xi = state.x.get(i, 0.0)
+    ind = 1.0 if i in state.seeds else 0.0
+    kd = cfg.kappa * di
+    target = cfg.rho * kd
+    band = min(_PUSH_TOL, cfg.rho, 1.0 - cfg.rho) * kd
+    lo, r_lo = xi, ri
+    t = hi = 1.0
+    rt = r_hi = _residual_at(cfg, adjacent, ind, di, hi)
+    while abs(rt - target) > band:
+        t = 0.5 * (lo + hi)
+        if not lo < t < hi:
+            t, rt = (lo, r_lo) if r_lo - target < target - r_hi else (hi, r_hi)
+            if not 0.0 <= rt <= kd:
+                raise RuntimeError(f"p-norm push on node {i} cannot meet its residual target")
+            break
+        rt = _residual_at(cfg, adjacent, ind, di, t)
+        if rt > target:
+            lo, r_lo = t, rt
+        else:
+            hi, r_hi = t, rt
+    state.x[i] = t
+    state.r[i] = rt
+    state.pushes += 1
+    state.sum_pushed_degree += di
+    return t - xi
 
 
 def bisection_settle_pair(member_x, c, wab, q, xa0, xb0, tol):

@@ -1,7 +1,6 @@
 """Tests for the p-norm solver: residual recomputation, the p=2 crossover,
-the bracketed root-finders of the push (against its residual band) and the
-gadget settle (against the plain bisection it replaces), and the push
-machinery on stiff gadgets."""
+the bracketed root-finders of the push and the gadget settle (against
+reference plain bisections), and the push machinery on stiff gadgets."""
 import math
 import random
 
@@ -10,6 +9,7 @@ import pytest
 
 import hyperlocal.pnorm as pnorm_mod
 from helpers import (
+    bisection_push,
     bisection_settle_pair,
     delta_max,
     random_instance,
@@ -299,8 +299,7 @@ def test_member_bumps_match_recomputation():
 
 
 # ---------------------------------------------------------------------------
-# Root-finders: the push against its residual band, the settle against the
-# reference bisection (tests/helpers.py)
+# Root-finders against the reference bisections (tests/helpers.py)
 
 
 def _push_case(rng, p):
@@ -344,40 +343,47 @@ def _push_case(rng, p):
 
 
 @pytest.mark.parametrize("p", [1.3, 1.4, 1.5, 1.7, 2.0])
-def test_push_lands_in_residual_band(p):
-    """60 lists per p, 300 in all (the three rng streams per p of the
-    bisection reference this test replaced). A push raises RuntimeError or
-    moves x_i within [x_i, 1] and stores the fresh residual there, inside
-    [0, kappa*d_i] and within tau*kappa*d_i of its target. Outside the band
-    the bracket has collapsed: the neighbouring float lies across the target
-    and is no nearer to it."""
+@pytest.mark.parametrize("stream", ["1e-08", "0.0001", "0.5"])
+def test_push_matches_bisection_reference(p, stream):
+    """20 lists per (p, rng stream), 300 in all. A push raises RuntimeError
+    exactly when the reference bisection with the same stop does. Otherwise
+    it moves x_i within [x_i, 1] and stores the fresh residual there, inside
+    [0, kappa*d_i] and within tau*kappa*d_i of its target, so within
+    2*tau*kappa*d_i of the reference's. Outside the band the bracket has
+    collapsed: the neighbouring float lies across the target and is no
+    nearer to it, and the reference keeps the same float."""
+    rng = random.Random(f"push/{p}/{stream}")
     ties = landed = 0
-    for stream in ("1e-08", "0.0001", "0.5"):
-        rng = random.Random(f"push/{p}/{stream}")
-        for _ in range(20):
-            c, xi, seed, ri, di, adjacent = _push_case(rng, p)
-            ties += any(xi in (xa, xb) or xa == xb for _, xa, xb in adjacent)
-            st = state_with(EDGE, [0] if seed else [], {0: xi})
-            try:
-                dx = _push(None, st, c, 0, ri, di, adjacent, None)
-            except RuntimeError:
-                continue
-            landed += 1
-            ind = 1.0 if seed else 0.0
-            x, r = st.x[0], st.r[0]
-            kd = c.kappa * di
-            target = c.rho * kd
-            assert xi <= x <= 1.0 and dx == x - xi
-            assert r == _residual_at(c, adjacent, ind, di, x)
-            assert 0.0 <= r <= kd, (xi, adjacent)
-            if abs(r - target) > _PUSH_TOL * kd:
-                other = math.nextafter(x, 1.0 if r > target else 0.0)
-                r_other = _residual_at(c, adjacent, ind, di, other)
-                assert (r_other <= target) if r > target else (r_other > target)
-                assert abs(r - target) <= abs(r_other - target), (xi, adjacent)
-            assert st.root_evals >= 1
+    for _ in range(20):
+        c, xi, seed, ri, di, adjacent = _push_case(rng, p)
+        ties += any(xi in (xa, xb) or xa == xb for _, xa, xb in adjacent)
+        st, ref = (state_with(EDGE, [0] if seed else [], {0: xi}) for _ in range(2))
+        try:
+            dx = _push(None, st, c, 0, ri, di, adjacent, None)
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                bisection_push(None, ref, c, 0, ri, di, adjacent, None)
+            continue
+        bisection_push(None, ref, c, 0, ri, di, adjacent, None)
+        landed += 1
+        ind = 1.0 if seed else 0.0
+        x, r = st.x[0], st.r[0]
+        kd = c.kappa * di
+        target = c.rho * kd
+        assert xi <= x <= 1.0 and dx == x - xi
+        assert r == _residual_at(c, adjacent, ind, di, x)
+        assert 0.0 <= r <= kd, (xi, adjacent)
+        if abs(r - target) > _PUSH_TOL * kd:
+            other = math.nextafter(x, 1.0 if r > target else 0.0)
+            r_other = _residual_at(c, adjacent, ind, di, other)
+            assert (r_other <= target) if r > target else (r_other > target)
+            assert abs(r - target) <= abs(r_other - target), (xi, adjacent)
+            assert (ref.x[0], ref.r[0]) == (x, r), (xi, adjacent)
+        else:
+            assert abs(ref.r[0] - r) <= 2 * _PUSH_TOL * kd, (xi, adjacent)
+        assert st.root_evals >= 1
     assert ties > 0
-    assert landed >= 55, landed  # all 60 land today
+    assert landed == 20  # all 300 land today
 
 
 def test_push_takes_nearer_float_when_band_is_empty():
