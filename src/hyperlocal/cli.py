@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -152,17 +153,22 @@ def _delta_max(h) -> float:
     return float(h.gadget_delta.max()) if h.num_gadgets else 1.0
 
 
-def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux, delta_max):
+def _one_based(exc) -> str:
+    """A solver error's message with its node or gadget id 1-based, as the
+    CLI's inputs and outputs number them (the library's ids are 0-based)."""
+    return re.sub(r"\b(node|gadget) (\d+)\b", lambda m: f"{m[1]} {int(m[2]) + 1}", str(exc))
+
+
+def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux, delta_max, report):
+    """Solve, sweep and write one run, filling in its report record."""
+    timings = report["timings"]
     t0 = time.perf_counter()
     res = pnorm_solve(h, seeds, cfg)
     solve_s = round(time.perf_counter() - t0, 6)
     bound = ledger_bound(cfg, res.seed_volume, delta_max, cfg.p)
-    timings = {"solve_s": solve_s, "sweep_s": 0.0, "write_s": 0.0}
-    report = {
-        "seeds": [v + 1 for v in seeds],
-        "kappa": cfg.kappa, "gamma": cfg.gamma, "rho": cfg.rho, "p": cfg.p,
+    timings.update(solve_s=solve_s, sweep_s=0.0, write_s=0.0)
+    report.update({
         "wall_time_s": solve_s,
-        "timings": timings,
         "converged": res.converged,
         "pushes": res.pushes,
         "aux_pushes": res.state.aux_pushes,
@@ -172,9 +178,9 @@ def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux, delta_max):
         "sum_pushed_degree": res.sum_pushed_degree,
         "ledger_bound": None if math.isinf(bound) else bound,
         "support_size": len(res.x),
-    }
+    })
     if not res.converged:
-        return report
+        return
 
     best_set, best = (), math.inf
     if res.x:
@@ -200,7 +206,6 @@ def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux, delta_max):
             lines.append(f"{j + 1},{xa:.12g},{xb:.12g}")
         _write_text(out_prefix + "aux.csv", "\n".join(lines) + "\n")
     timings["write_s"] = round(time.perf_counter() - t1, 6)
-    return report
 
 
 def _cmd_diffuse(args) -> int:
@@ -225,19 +230,26 @@ def _cmd_diffuse(args) -> int:
 
     outdir = args.out.rstrip("/") or "."
     delta_max = _delta_max(h)
-    reports = []
+    reports, failure = [], None
     for idx, (tag, seeds, cfg) in enumerate(runs):
         prefix = (os.path.join(outdir, "") if len(runs) == 1
                   else os.path.join(outdir, f"run{idx:03d}."))
-        report = _run_one_diffusion(h, seeds, cfg, prefix, args.emit_aux, delta_max)
-        report["timings"]["load_s"] = load_s
-        report["graph"] = args.graph
-        report["seed_source"] = tag
-        report["run"] = idx
+        report = {"seeds": [v + 1 for v in seeds], "kappa": cfg.kappa, "gamma": cfg.gamma,
+                  "rho": cfg.rho, "p": cfg.p, "timings": {"load_s": load_s},
+                  "graph": args.graph, "seed_source": tag, "run": idx}
         reports.append(report)
+        try:
+            _run_one_diffusion(h, seeds, cfg, prefix, args.emit_aux, delta_max, report)
+        except RuntimeError as exc:
+            # The failed run gets a record too, and ends the command.
+            report.update(converged=False, error=_one_based(exc))
+            failure = exc
+            break
 
     body = "".join(json.dumps(rep, sort_keys=True) + "\n" for rep in reports)
     _write_text(os.path.join(outdir, "report.jsonl"), body)
+    if failure is not None:
+        raise failure
     return EXIT_OK if all(rep["converged"] for rep in reports) else EXIT_NOCONV
 
 
@@ -467,7 +479,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except RuntimeError as exc:
         # A push or settle that cannot meet its residual bound.
-        print(f"hyperlocal: error: {exc}", file=sys.stderr)
+        print(f"hyperlocal: error: {_one_based(exc)}", file=sys.stderr)
         return EXIT_NOCONV
 
 

@@ -7,10 +7,12 @@ formula relies on.
 
 Storage is columnar: flat numpy arrays, CSR for the ragged rows. Loading is a
 few vectorized passes over the input, with no Python object per edge or per
-gadget (the sidecar's str tokens live for one piece of the text). The solvers and the sweep read the arrays through memoized views
-(`LazyView`) that hand out Python ints, floats and tuples and convert each
-entry the first time it is read, so a query pays for what it touches, not
-for the size of the hypergraph.
+gadget (the sidecar's str tokens live for one piece of the text). Each input
+format has one parser, that pass: it stops at the first bad line and words
+the error from that line's tokens. The solvers and the sweep read the arrays
+through memoized views (`LazyView`) that hand out Python ints, floats and
+tuples and convert each entry the first time it is read, so a query pays
+for what it touches, not for the size of the hypergraph.
 """
 from __future__ import annotations
 
@@ -375,15 +377,6 @@ def conductance(h: Hypergraph, s) -> float:
     return set_metrics(h, s)[2]
 
 
-def _tokens(text: str):
-    """Content lines of an .hgr-style file: comments and blank lines skipped."""
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        yield ln, line.split()
-
-
 def parse_hypergraph(text: str, default_c: float = 1.0, default_delta: float = 1.0) -> Hypergraph:
     """Parse hypergraph text.
 
@@ -406,10 +399,10 @@ def parse_hypergraph(text: str, default_c: float = 1.0, default_delta: float = 1
 # are the ASCII characters str.splitlines() ends a line at, the spaces the
 # other ones str.split() separates at; the non-ASCII ones are first mapped
 # onto "\n" and " ".
-_DIGIT, _PLUS, _OTHER, _SPACE, _BREAK = range(5)
+_DIGIT, _SIGN, _OTHER, _SPACE, _BREAK = range(5)
 _BYTE_KIND = np.full(256, _OTHER, dtype=np.uint8)
 _BYTE_KIND[np.frombuffer(b"0123456789", np.uint8)] = _DIGIT
-_BYTE_KIND[ord("+")] = _PLUS
+_BYTE_KIND[np.frombuffer(b"+-", np.uint8)] = _SIGN
 _BYTE_KIND[np.frombuffer(b" \t\x1f", np.uint8)] = _SPACE
 _BYTE_KIND[np.frombuffer(b"\n\r\x0b\x0c\x1c\x1d\x1e", np.uint8)] = _BREAK
 _UNICODE_WHITESPACE = str.maketrans(
@@ -421,11 +414,8 @@ _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 # extended to the line break that ends its last line, so their working arrays
 # stay the same size however long the text is. No line spans two pieces.
 _SCAN_CHUNK = 1 << 20
-_LINE_END = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
-
-
-class _Rejected(Exception):
-    """A vectorized scan does not accept the text."""
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_END = re.compile(f"[{_BREAKS}]")
 
 
 def _pieces(text: str):
@@ -440,16 +430,20 @@ def _pieces(text: str):
         lo = hi
 
 
+def _utf8(piece: str):
+    """The piece's UTF-8 bytes (uint8), Unicode whitespace mapped to ASCII."""
+    if not piece.isascii():
+        piece = piece.translate(_UNICODE_WHITESPACE)
+    return np.frombuffer(piece.encode(), dtype=np.uint8)
+
+
 def _scan_tokens(piece: str):
     """Tokens of a run of whole lines, as str.split() finds them, from the
     byte tables: (buf, kind, starts, ends, line, body). buf is the piece's
-    UTF-8 bytes (Unicode whitespace mapped to ASCII) and kind their byte
-    kinds; each token has start and end byte offsets and a line index
-    (ascending); body indexes the tokens not on a comment line, a line whose
-    first token starts with "%"."""
-    if not piece.isascii():
-        piece = piece.translate(_UNICODE_WHITESPACE)
-    buf = np.frombuffer(piece.encode(), dtype=np.uint8)
+    _utf8 bytes and kind their byte kinds; each token has start and end byte
+    offsets and a line index (ascending); body indexes the tokens not on a
+    comment line, a line whose first token starts with "%"."""
+    buf = _utf8(piece)
     del piece
     kind = _BYTE_KIND[buf]
     step = np.diff((kind < _SPACE).view(np.int8), prepend=np.int8(0), append=np.int8(0))
@@ -470,41 +464,50 @@ def _row_offsets(line):
     return np.append(np.flatnonzero(new_row), len(line))
 
 
+def _line_at(text, lo, hi, pos):
+    """(number, tokens) of the line that starts, or has its first token, at
+    byte pos of the _utf8 bytes of the piece text[lo:hi]. Lines are numbered as
+    str.splitlines() counts them, "\\r\\n" being one break; the text before
+    the line is counted in place, not copied."""
+    if not text.isascii():  # byte offset -> character offset: UTF-8 lead bytes
+        pos = np.count_nonzero((_utf8(text[lo:hi])[:pos] & 0xC0) != 0x80)
+    at = lo + pos
+    end = _LINE_END.search(text, at)
+    number = 1 + sum(text.count(c, 0, at) for c in _BREAKS) - text.count("\r\n", 0, at)
+    return number, text[at:end.start() if end else len(text)].split()
+
+
 def _parse_edges(text: str):
-    """The text half of parse_hypergraph: (num_nodes, EdgeRows of 0-based ids)."""
-    try:
-        return _scan_hgr(text)
-    except _Rejected:
-        pass
-    _raise_format_error(text)
-
-
-def _scan_hgr(text: str):
-    """Vectorized .hgr parse: (num_nodes, EdgeRows). Raises _Rejected if the
-    text is not a valid hypergraph; _raise_format_error then says why.
-    Between pieces it keeps only the header and each piece's ids and row sizes."""
+    """The text half of parse_hypergraph: (num_nodes, EdgeRows of 0-based
+    ids), read in one pass over the text's pieces; the first bad line stops
+    it. Between pieces it keeps only the header and each piece's ids and row
+    sizes."""
     header = None  # (n, m), from the first content line
     ids, sizes = [], []
     for lo, hi in _pieces(text):
-        header = _scan_piece(_scan_tokens(text[lo:hi]), header, ids, sizes)
+        header = _scan_piece(_scan_tokens(text[lo:hi]), header, ids, sizes,
+                             partial(_line_at, text, lo, hi))
     if header is None:
-        raise _Rejected  # no content line
+        raise HypergraphFormatError("empty input: missing header line")
     sizes = np.concatenate(sizes)
     if len(sizes) != header[1]:
-        raise _Rejected
+        raise HypergraphFormatError(f"header promised {header[1]} hyperedges, found {len(sizes)}")
     return header[0], EdgeRows(_offsets(sizes), np.concatenate(ids))
 
 
-def _scan_piece(tokens, header, ids, sizes):
+def _scan_piece(tokens, header, ids, sizes, line_at):
     """Scan a run of whole lines, given its _scan_tokens: append the int32
     0-based ids and the int64 row sizes of its edges to ids and sizes, and
-    return the header, read from the first content line while it is None."""
+    return the header, read from the first content line while it is None.
+    line_at(byte offset of a line's first token) gives the number and tokens
+    of the header and of the first bad line, for which it raises
+    HypergraphFormatError."""
     buf, kind, starts, ends, line, body = tokens
     del tokens
     if header is None:
         if not len(body):
             return None
-        header = _header(buf, starts, ends, line, body)
+        header = _header(*line_at(starts[body[0]]))
         body = body[2:]
     # Narrowed to the edge tokens one array at a time, so that at most one
     # of them is held twice.
@@ -516,6 +519,7 @@ def _scan_piece(tokens, header, ids, sizes):
     offsets = _row_offsets(line)
     del line
     values = np.zeros(0, dtype=np.int64)
+    odd_row = None  # the first row with a token that is not a number
     if len(starts):
         lo, hi = starts[0], ends[-1]
         buf, kind = buf[lo:hi], kind[lo:hi]
@@ -526,79 +530,67 @@ def _scan_piece(tokens, header, ids, sizes):
         mark[ends] = -1
         inside = np.cumsum(mark[:-1], dtype=np.int8).view(bool)
         del mark, ends
-        # Edge tokens are ASCII digits, with at most a leading "+".
+        # Edge tokens are ASCII digits, with at most a leading sign.
         odd = kind != _DIGIT
         odd &= inside
-        after_plus = starts[kind[starts] == _PLUS] + 1
-        after_plus = after_plus[after_plus < len(buf)]
-        odd[after_plus[kind[after_plus] == _DIGIT] - 1] = False
-        if odd.any():
-            raise _Rejected
-        del kind, odd, after_plus
+        after_sign = starts[kind[starts] == _SIGN] + 1
+        after_sign = after_sign[after_sign < len(buf)]
+        odd[after_sign[kind[after_sign] == _DIGIT] - 1] = False
+        if odd.any():  # read only the rows before it
+            token = np.searchsorted(starts, odd.argmax(), side="right") - 1
+            odd_row = np.searchsorted(offsets, token, side="right") - 1
+            offsets = offsets[:odd_row + 1]
+            buf, inside = buf[:starts[offsets[-1]]], inside[:starts[offsets[-1]]]
+        del kind, odd, after_sign
         # The edge tokens, with everything between them blanked, read in C.
         blanked = np.where(inside, buf, np.uint8(32)).tobytes()
         del buf, inside
         values = np.fromstring(blanked, dtype=np.int64, sep=" ")
-        if len(values) != len(starts):
-            raise _Rejected
+        starts += lo
     values -= 1
-    if _bad_rows(offsets, values, header[0]).any():
-        raise _Rejected
+    bad = np.flatnonzero(_bad_rows(offsets, values, header[0]))
+    row = bad[0] if len(bad) else odd_row  # the first bad row
+    if row is not None:
+        number, row_tokens = line_at(starts[offsets[row]])
+        raise HypergraphFormatError(f"line {number}: {_edge_error(row_tokens, header[0])}")
     ids.append(values.astype(np.int32))
     sizes.append(np.diff(offsets))
     return header
 
 
-def _header(buf, starts, ends, line, content):
-    """(n, m) of the first content line, if it is two valid numbers."""
-    if len(content) < 2 or line[content[1]] != line[content[0]] or (
-            len(content) > 2 and line[content[2]] == line[content[0]]):
-        raise _Rejected  # no header line of exactly two tokens
-    header = [buf[starts[t]:ends[t]].tobytes().decode() for t in content[:2].tolist()]
-    if not all(map(_INT_TOKEN.fullmatch, header)):
-        raise _Rejected
-    n, m = int(header[0]), int(header[1])
-    if not (1 <= n <= MAX_NODES and m >= 0):
-        raise _Rejected
-    return n, m
+def _header(number, tokens):
+    """(n, m) of the header line of the given number and tokens. Raises
+    HypergraphFormatError unless they are two numbers, 1 <= n <= MAX_NODES
+    and m >= 0."""
+    if len(tokens) != 2:
+        message = "header must be '<num_nodes> <num_edges>'"
+    elif not all(map(_INT_TOKEN.fullmatch, tokens)):
+        message = "non-numeric header token"
+    else:
+        n, m = int(tokens[0]), int(tokens[1])
+        if n < 1 or m < 0:
+            message = f"invalid header values {n} {m}"
+        elif n > MAX_NODES:
+            message = f"{n} nodes exceed the limit {MAX_NODES}"
+        else:
+            return n, m
+    raise HypergraphFormatError(f"line {number}: {message}")
 
 
-def _raise_format_error(text: str):
-    """The line-by-line check of the format: raises the error of the first
-    bad line (or the edge count). Runs only when _scan_hgr rejects the text."""
-    it = _tokens(text)
-    try:
-        ln, header = next(it)
-    except StopIteration:
-        raise HypergraphFormatError("empty input: missing header line") from None
-    if len(header) != 2:
-        raise HypergraphFormatError(f"line {ln}: header must be '<num_nodes> <num_edges>'")
-    if not all(map(_INT_TOKEN.fullmatch, header)):
-        raise HypergraphFormatError(f"line {ln}: non-numeric header token")
-    n, m = int(header[0]), int(header[1])
-    if n < 1 or m < 0:
-        raise HypergraphFormatError(f"line {ln}: invalid header values {n} {m}")
-    if n > MAX_NODES:
-        raise HypergraphFormatError(f"line {ln}: {n} nodes exceed the limit {MAX_NODES}")
-
-    count = 0
-    for ln, toks in it:
-        if not all(map(_INT_TOKEN.fullmatch, toks)):
-            raise HypergraphFormatError(f"line {ln}: non-numeric node id")
-        ids = [int(t) for t in toks]
-        if len(ids) < 2:
-            raise HypergraphFormatError(f"line {ln}: hyperedge has fewer than 2 nodes")
-        seen = set()
-        for v in ids:
-            if not (1 <= v <= n):
-                raise HypergraphFormatError(f"line {ln}: node id {v} out of range [1, {n}]")
-            if v in seen:
-                raise HypergraphFormatError(f"line {ln}: duplicate node {v} in hyperedge")
-            seen.add(v)
-        count += 1
-    if count != m:
-        raise HypergraphFormatError(f"header promised {m} hyperedges, found {count}")
-    raise RuntimeError("the vectorized .hgr parse rejected a text the line check accepts")
+def _edge_error(tokens, n):
+    """What is wrong with an edge line of the given tokens: the first fault
+    the line-by-line reading of the format meets."""
+    if not all(map(_INT_TOKEN.fullmatch, tokens)):
+        return "non-numeric node id"
+    if len(tokens) < 2:
+        return "hyperedge has fewer than 2 nodes"
+    seen = set()
+    for v in map(int, tokens):
+        if not 1 <= v <= n:
+            return f"node id {v} out of range [1, {n}]"
+        if v in seen:
+            return f"duplicate node {v} in hyperedge"
+        seen.add(v)
 
 
 def parse_gadget_lines(text: str, num_edges: int) -> GadgetRows:
@@ -612,14 +604,47 @@ def parse_gadget_lines(text: str, num_edges: int) -> GadgetRows:
     aligned with the hyperedge order; a Hypergraph built from it reuses its
     arrays.
 
-    Raises HypergraphFormatError naming the line of the first bad token, or
-    when the number of gadget lines is not num_edges.
+    One pass over the text's pieces: rows come from the byte tables, tokens
+    from str.split(), and each distinct token is parsed once, every token
+    being read as the index of its distinct token. Raises
+    HypergraphFormatError naming the line of the first bad token, at which
+    the pass stops, or when the number of gadget lines is not num_edges.
     """
-    try:
-        return _scan_gadgets(text, num_edges)
-    except _Rejected:
-        pass
-    _raise_gadget_error(text, num_edges)
+    cs, deltas = [], []
+
+    def parse(tok):
+        g = _gadget_token(tok)
+        cs.append(g.c)
+        deltas.append(g.delta)
+        return len(cs) - 1
+
+    index = LazyView(parse)  # token -> index of its distinct token; valid ones only
+    picks, counts = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int64)]
+    for lo, hi in _pieces(text):
+        piece = text[lo:hi]
+        line, body = _scan_tokens(piece)[4:]
+        tokens = piece.split()
+        del piece
+        if len(body) < len(tokens):
+            tokens = list(map(tokens.__getitem__, body.tolist()))
+        try:
+            picks.append(np.fromiter(map(index.__getitem__, tokens), dtype=np.int32,
+                                     count=len(tokens)))
+        except ValueError as exc:  # raised by the first token not in index
+            k = line[body[next(t for t, tok in enumerate(tokens) if tok not in index)]]
+            breaks = np.flatnonzero(_BYTE_KIND[_utf8(text[lo:hi])] == _BREAK)
+            number = _line_at(text, lo, hi, breaks[k - 1] + 1 if k else 0)[0]
+            raise HypergraphFormatError(f"line {number}: {exc}") from None
+        del tokens
+        counts.append(np.diff(_row_offsets(line[body])))
+    counts = np.concatenate(counts)
+    if len(counts) != num_edges:
+        raise HypergraphFormatError(
+            f"gadget sidecar has {len(counts)} lines, hypergraph has {num_edges} hyperedges")
+    picks = np.concatenate(picks)
+    return GadgetRows(num_edges, np.repeat(np.arange(num_edges, dtype=np.int32), counts),
+                      np.array(cs, dtype=np.float64)[picks],
+                      np.array(deltas, dtype=np.float64)[picks])
 
 
 def _gadget_token(tok: str) -> GadgetParams:
@@ -632,63 +657,6 @@ def _gadget_token(tok: str) -> GadgetParams:
     except ValueError:
         raise ValueError(f"non-numeric gadget token '{tok}'") from None
     return GadgetParams(c, delta)
-
-
-def _scan_gadgets(text: str, num_edges: int) -> GadgetRows:
-    """Vectorized sidecar parse. Rows come from the byte tables, tokens from
-    str.split(); each distinct token is parsed once, and every token is read
-    as the index of its distinct token. Raises _Rejected if the text is not
-    a valid sidecar; _raise_gadget_error then says why."""
-    cs, deltas = [], []
-
-    def parse(tok):
-        try:
-            g = _gadget_token(tok)
-        except ValueError:
-            raise _Rejected from None
-        cs.append(g.c)
-        deltas.append(g.delta)
-        return len(cs) - 1
-
-    index = LazyView(parse)  # token -> index of its distinct token
-    picks, counts = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int64)]
-    for lo, hi in _pieces(text):
-        piece = text[lo:hi]
-        line, body = _scan_tokens(piece)[4:]
-        tokens = piece.split()
-        del piece
-        if len(line) != len(tokens):
-            raise _Rejected
-        if len(body) < len(tokens):
-            tokens = list(map(tokens.__getitem__, body.tolist()))
-        picks.append(np.fromiter(map(index.__getitem__, tokens), dtype=np.int32,
-                                 count=len(tokens)))
-        del tokens
-        counts.append(np.diff(_row_offsets(line[body])))
-    counts = np.concatenate(counts)
-    if len(counts) != num_edges:
-        raise _Rejected
-    picks = np.concatenate(picks)
-    return GadgetRows(num_edges, np.repeat(np.arange(num_edges, dtype=np.int32), counts),
-                      np.array(cs, dtype=np.float64)[picks],
-                      np.array(deltas, dtype=np.float64)[picks])
-
-
-def _raise_gadget_error(text: str, num_edges: int):
-    """The line-by-line check of a sidecar: raises the error of the first bad
-    token (or the line count). Runs only when _scan_gadgets rejects the text."""
-    count = 0
-    for ln, toks in _tokens(text):
-        for t in toks:
-            try:
-                _gadget_token(t)
-            except ValueError as exc:
-                raise HypergraphFormatError(f"line {ln}: {exc}") from None
-        count += 1
-    if count != num_edges:
-        raise HypergraphFormatError(
-            f"gadget sidecar has {count} lines, hypergraph has {num_edges} hyperedges")
-    raise RuntimeError("the vectorized sidecar parse rejected a text the line check accepts")
 
 
 def format_hgr(h: Hypergraph) -> str:

@@ -383,14 +383,13 @@ def _settle(h, state, cfg, i, dxi, adjacent, on_event):
             on_event("auxpush", {"gadget": j, "node": i, "da": da, "db": db})
 
 
-def pnorm_solve(h: Hypergraph, seeds, cfg: DiffusionConfig, on_event=None,
-                force_general: bool = False) -> SolveResult:
+def pnorm_solve(h: Hypergraph, seeds, cfg: DiffusionConfig, on_event=None) -> SolveResult:
     """Run the p-norm diffusion to convergence (or to cfg.max_pushes).
 
-    p = 2 runs the closed-form quadratic kernels unless force_general is set
-    (the general kernels at p = 2 exist for cross-solver agreement checks;
-    both run the same driver and queue policy).
+    p = 2 runs the closed-form quadratic kernels. The general kernels also
+    run at p = 2 when handed to _drive directly, which the cross-solver
+    agreement checks do; both kernel sets share _drive's queue policy.
     """
-    if cfg.p == 2.0 and not force_general:
+    if cfg.p == 2.0:
         return _drive(h, seeds, cfg, _scan_node, _apply_hyperpush, settle, on_event)
     return _drive(h, seeds, cfg, _scan, _push, _settle, on_event)

@@ -240,15 +240,6 @@ def _solve_push_amount(cfg, xi, ri, di, adjacent, caches, state=None):
             k += 1
 
 
-def hyperpush(h: Hypergraph, state: DiffusionState, cfg: DiffusionConfig, i: int) -> float:
-    """Raise x_i so its residual falls to rho*kappa*d_i; returns Delta x_i."""
-    di = h.degree_of[i]
-    ri, adjacent, caches = _scan_node(h, state, cfg, i)
-    if ri <= cfg.kappa * di:
-        raise ValueError(f"hyperpush on non-violating node {i} (r={ri:g}, kd={cfg.kappa * di:g})")
-    return _apply_hyperpush(h, state, cfg, i, ri, di, adjacent, caches)
-
-
 def _apply_hyperpush(h, state, cfg, i, ri, di, adjacent, caches):
     xi = state.x.get(i, 0.0)
     delta = _solve_push_amount(cfg, xi, ri, di, adjacent, caches, state)

@@ -81,10 +81,3 @@ def build_localized_cut_graph(g: ReducedGraph, seeds, gamma: float) -> ReducedGr
 def directed_cut(g: ReducedGraph, s_side) -> float:
     s_side = set(s_side)
     return sum(w for (tail, head, w) in g.arcs if tail in s_side and head not in s_side)
-
-
-def arcs_csv(g: ReducedGraph) -> str:
-    lines = ["tail,head,weight"]
-    for tail, head, w in g.arcs:
-        lines.append(f"{tail},{head},{w:.12g}")
-    return "\n".join(lines) + "\n"

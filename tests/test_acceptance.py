@@ -28,8 +28,9 @@ from hyperlocal.oracles import (
     reduced_min_conductance_family,
     reference_qp_solver,
 )
+from hyperlocal import pnorm
 from hyperlocal.pnorm import pnorm_solve
-from hyperlocal.quadratic import DiffusionConfig, aux_ids, ledger_bound, solve
+from hyperlocal.quadratic import DiffusionConfig, _drive, aux_ids, ledger_bound, solve
 from hyperlocal.sweep import prf1, sweepcut
 from hyperlocal.synth import planted_hypergraph, sample_seeds
 
@@ -142,7 +143,7 @@ def test_general_p_solver_matches_quadratic_at_p2():
         kappa = 0.1 if k % 2 == 0 else 0.01
         cfg = DiffusionConfig(gamma=0.1, kappa=kappa, rho=0.5, p=2.0)
         a = solve(h, seeds, cfg)
-        b = pnorm_solve(h, seeds, cfg, force_general=True)
+        b = _drive(h, seeds, cfg, pnorm._scan, pnorm._push, pnorm._settle)
         tol = 1e-4
         keys = set(a.state.x) | set(b.state.x)
         worst = max(abs(a.state.x.get(i, 0.0) - b.state.x.get(i, 0.0)) for i in keys)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from hyperlocal.cli import main
+from hyperlocal.cli import _one_based, main
 from hyperlocal.hypergraph import parse_hypergraph
 from hyperlocal.pnorm import pnorm_solve
 from hyperlocal.quadratic import DiffusionConfig, solve
@@ -430,6 +430,34 @@ def test_diffuse_solver_failure_exits_three(tri_file, tmp_path, capsys):
     assert err.startswith("hyperlocal: error: p-norm push on node")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (out / "solution.csv").exists()
+
+
+def test_diffuse_failed_run_is_reported_with_one_based_ids(tri_file, tmp_path, capsys):
+    # kappa 1 pushes nothing and converges; kappa 0.01 at p = 1.01 raises on
+    # library node 0, the CLI's node 1. The report keeps both runs.
+    with pytest.raises(RuntimeError, match="^p-norm push on node 0 "):
+        pnorm_solve(parse_hypergraph(TRIANGLE), [1], DiffusionConfig(kappa=0.01, p=1.01))
+    out = tmp_path / "out"
+    rc = main(["diffuse", "--graph", str(tri_file), "--seed-nodes", "2",
+               "--kappa", "1", "0.01", "--p", "1.01", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("hyperlocal: error: p-norm push on node 1 cannot meet")
+    reports = [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()]
+    assert [(r["run"], r["kappa"], r["seeds"]) for r in reports] == [(0, 1.0, [2]), (1, 0.01, [2])]
+    first, failed = reports
+    assert first["converged"] is True and "error" not in first
+    assert first["support_size"] == len(read_solution(out / "run000.solution.csv"))
+    assert first["best_set_size"] == len((out / "run000.cluster.txt").read_text().split())
+    assert failed["converged"] is False
+    assert failed["error"] == err.removeprefix("hyperlocal: error: ")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "report.jsonl", "run000.cluster.txt", "run000.solution.csv"]
+
+
+def test_one_based_names_gadgets_too():
+    assert _one_based(RuntimeError("p-norm auxpush on gadget 9 did not settle (residual 1e-3)")) \
+        == "p-norm auxpush on gadget 10 did not settle (residual 1e-3)"
 
 
 def test_diffuse_reports_unrepresentable_ledger_bound_as_null(tri_file, tmp_path):

@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -390,6 +391,7 @@ def test_chunked_parse_matches_line_reference(chunk, text):
     ("3 2\n1 2\n2 3", ("ok", 3, [(0, 1), (1, 2)])),                     # no final newline
     ("3\xa02\u2028 1\u30002\x85+2\t03\u2029", ("ok", 3, [(0, 1), (1, 2)])),  # Unicode
     ("3 2\n1 2\n% 1 x\n2 x\n", ("error", "line 4: non-numeric node id")),  # later bad line
+    ("3 2\r\n1 2\r\n-1 2\r\n", ("error", "line 3: node id -1 out of range [1, 3]")),
 ])
 def test_chunked_parse_at_every_piece_size(text, want):
     """Every piece size from one character to the whole text puts the piece
@@ -401,21 +403,61 @@ def test_chunked_parse_at_every_piece_size(text, want):
             assert _outcome(_parse_edges, text) == want, chunk
 
 
-def test_parse_peak_memory_is_a_piece_plus_the_output():
-    """The scan's working arrays are sized by a piece, not by the text: its
-    traced peak on a 3.8 MB chain stays under 8 bytes per byte of text."""
-    n = 150_000
-    text = "".join([f"{n} {n - 3}\n"] + [f"{k} {k + 1} {k + 2} {k + 3}\n" for k in range(1, n - 2)])
+def _traced_peak(parse, *args):
+    """(outcome, tracemalloc peak above the start) of one parse call."""
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        num_nodes, edges = _parse_edges(text)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        try:
+            got = parse(*args)
+        except HypergraphFormatError as exc:
+            got = exc
+        return got, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def test_parse_peak_memory_is_a_piece_plus_the_output():
+    """The scan's working arrays are sized by a piece, not by the text: its
+    traced peak on a 3.8 MB chain stays under 8 bytes per byte of text, also
+    when the last line is bad and the error names it."""
+    n = 150_000
+    text = "".join([f"{n} {n - 3}\n"] + [f"{k} {k + 1} {k + 2} {k + 3}\n" for k in range(1, n - 2)])
+    (num_nodes, edges), peak = _traced_peak(_parse_edges, text)
     assert (num_nodes, len(edges), edges[-1]) == (n, n - 3, (n - 4, n - 3, n - 2, n - 1))
     assert peak <= 8 * len(text), peak / len(text)
+    del edges
+    bad = text[:text.rindex("\n", 0, -1) + 1] + f"{n - 3} {n - 2} {n - 2} {n}\n"
+    exc, peak = _traced_peak(_parse_edges, bad)
+    assert str(exc) == f"line {n - 2}: duplicate node {n - 2} in hyperedge"
+    assert peak <= 8 * len(bad), peak / len(bad)
+
+
+@pytest.mark.parametrize("parse, lines, bad", [
+    (_parse_edges, ["3 4", "1 2", "2 3", "1 3", "1 2 3"], "2 x"),
+    (_parse_edges, ["3 4", "1 2", "2 3", "1 3", "1 2 3"], "2 2"),
+    (partial(parse_gadget_lines, num_edges=4), ["1:2", "2:1", "1:2 2:1", "1:1"], "1:2 x:1"),
+])
+def test_scan_stops_at_the_piece_of_the_first_bad_line(parse, lines, bad):
+    """With one line per piece, a bad line in piece k runs the byte scan
+    k + 1 times: one pass, which reads no piece after the bad one."""
+    calls = []
+
+    def counted(piece):
+        calls.append(piece)
+        return scan(piece)
+
+    scan = hypergraph._scan_tokens
+    for k in range(1, len(lines)):
+        text = "".join(line + "\n" for line in lines[:k] + [bad] + lines[k:])
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hypergraph, "_SCAN_CHUNK", 1)
+            mp.setattr(hypergraph, "_scan_tokens", counted)
+            with pytest.raises(HypergraphFormatError, match=f"^line {k + 1}: "):
+                parse(text)
+        assert calls == [line + "\n" for line in lines[:k] + [bad]]
 
 
 @pytest.mark.parametrize("text, message", [

@@ -21,6 +21,8 @@ from hyperlocal.pnorm import (
     _PUSH_TOL,
     _push,
     _residual_at,
+    _scan,
+    _settle,
     _settle_pair,
     pnorm_aux_residuals,
     pnorm_auxpush,
@@ -30,6 +32,7 @@ from hyperlocal.pnorm import (
 from hyperlocal.quadratic import (
     DiffusionConfig,
     DiffusionState,
+    _drive,
     aux_ids,
     ledger_bound,
     node_residual,
@@ -107,7 +110,7 @@ def test_general_kernel_agrees_with_closed_form_at_p_two(seed):
     h = random_instance(seed, max_n=10, max_m=12, max_size=4)
     seeds = random_seeds(h, seed)
     c = cfg(kappa=0.1, p=2.0)
-    gen = pnorm_solve(h, seeds, c, force_general=True)
+    gen = _drive(h, seeds, c, _scan, _push, _settle)
     closed = solve(h, seeds, c)
     tol = 1e-4
     keys = set(gen.x) | set(closed.x)

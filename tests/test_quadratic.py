@@ -14,12 +14,12 @@ from hyperlocal.quadratic import (
     DiffusionConfig,
     DiffusionState,
     VIOLATION_GUARD,
+    _apply_hyperpush,
     _scan_node,
     _solve_push_amount,
     aux_ids,
     aux_residuals,
     auxpush,
-    hyperpush,
     init_state,
     ledger_bound,
     node_residual,
@@ -153,11 +153,17 @@ def test_aux_residuals_hand_solved_fixpoint():
 # hyperpush
 
 
+def push(h, state, c, i):
+    """One hyperpush of node i through the solver's scan and push kernels."""
+    ri, adjacent, caches = _scan_node(h, state, c, i)
+    return _apply_hyperpush(h, state, c, i, ri, h.degree_of[i], adjacent, caches)
+
+
 def test_first_push_walks_the_tied_breakpoint():
     # From the cold state the auxiliary pair ties x_i, so the fast-path guard
     # fails and the piecewise walk prices the a-arc in: slope 1/gamma + d.
     st0 = init_state(EDGE, [0], cfg(kappa=0.1, gamma=0.1, rho=0.5))
-    dx = hyperpush(EDGE, st0, cfg(kappa=0.1, gamma=0.1, rho=0.5), 0)
+    dx = push(EDGE, st0, cfg(kappa=0.1, gamma=0.1, rho=0.5), 0)
     assert dx == pytest.approx(0.95 / 11.0, abs=1e-15)
     assert st0.x[0] == pytest.approx(0.95 / 11.0, abs=1e-15)
     assert st0.r[0] == pytest.approx(0.05, abs=1e-15)
@@ -169,7 +175,7 @@ def test_fast_path_when_auxiliaries_clear_the_target():
     c = cfg(kappa=0.1, gamma=0.1, rho=0.5)
     st0 = state_with(EDGE, [0], {2: 0.96})
     st0.r[0] = 1.0
-    dx = hyperpush(EDGE, st0, c, 0)
+    dx = push(EDGE, st0, c, 0)
     assert dx == pytest.approx(0.95, abs=1e-15)
     assert node_residual(EDGE, st0, c, 0) == pytest.approx(0.05, abs=1e-12)
 
@@ -182,13 +188,7 @@ def test_push_caches_match_fresh_scan():
     assert ri == pytest.approx(1.0)
     assert adjacent == [(1.0, 0.96, 0.0)]
     assert caches == (0.0, 0.0, 0.96, math.inf)
-    hyperpush(EDGE, st0, c, 0)
-
-
-def test_hyperpush_rejects_settled_node():
-    st0 = state_with(H44, [0])  # r not violating anywhere (all zero)
-    with pytest.raises(ValueError, match="non-violating"):
-        hyperpush(H44, st0, cfg(), 3)
+    push(EDGE, st0, c, 0)
 
 
 def test_push_residual_lands_on_target_across_breakpoints():
@@ -201,7 +201,7 @@ def test_push_residual_lands_on_target_across_breakpoints():
         aux_ids(h, 1)[0]: 0.10, aux_ids(h, 1)[1]: 0.04,
         aux_ids(h, 2)[0]: 0.30, aux_ids(h, 2)[1]: 0.25,
     })
-    dx = hyperpush(h, st0, c, 0)
+    dx = push(h, st0, c, 0)
     assert dx > 0
     assert node_residual(h, st0, c, 0) == pytest.approx(c.rho * c.kappa * h.degrees[0], abs=1e-9)
 
@@ -502,7 +502,7 @@ def test_per_push_progress_constant_is_the_damped_one():
     st0 = state_with(EDGE, [0], {0: 0.2, 2: 0.13001, 3: 0.05})
     ri = node_residual(EDGE, st0, c, 0)
     assert ri > c.kappa * 1.0 * (1.0 + VIOLATION_GUARD)
-    dx = hyperpush(EDGE, st0, c, 0)
+    dx = push(EDGE, st0, c, 0)
     drop = 1.0 * dx
     gk = c.gamma * c.kappa
     claimed = gk * (1 - c.rho) * 1.0 / (gk + 1.0)

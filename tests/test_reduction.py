@@ -4,7 +4,6 @@ import pytest
 
 from hyperlocal.hypergraph import GadgetParams, Hypergraph, cut_value, parse_hypergraph
 from hyperlocal.reduction import (
-    arcs_csv,
     build_localized_cut_graph,
     build_reduced_graph,
     directed_cut,
@@ -116,11 +115,3 @@ def test_min_placement_reproduces_hypergraph_cut():
                     t_set.add(b)
             best = min(best, directed_cut(g, t_set))
         assert best == pytest.approx(cut_value(h, s), abs=1e-12)
-
-
-def test_arcs_csv_shape():
-    h = Hypergraph(2, [(0, 1)])
-    g = build_reduced_graph(h)
-    lines = arcs_csv(g).strip().splitlines()
-    assert lines[0] == "tail,head,weight"
-    assert len(lines) == 1 + len(g.arcs)
