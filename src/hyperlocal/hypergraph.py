@@ -192,7 +192,7 @@ class Hypergraph:
         if isinstance(hyperedges, EdgeRows):
             offsets, members = hyperedges.offsets, hyperedges.members
             if len(members) and members.max() >= n:
-                _raise_edge_error(hyperedges, n)
+                _check_rows(hyperedges, offsets, members, n)
         else:
             offsets, members = _edge_csr(hyperedges, n)
         m = len(offsets) - 1
@@ -300,28 +300,39 @@ def _edge_csr(hyperedges, n):
     """Validated (offsets, int32 members) of an iterable of node-id sequences."""
     edges = list(map(tuple, hyperedges))
     sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
+    count = int(sizes.sum())
     try:
-        ids = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=int(sizes.sum()))
+        ids = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=count)
     except (TypeError, ValueError, OverflowError):
-        _raise_edge_error(edges, n)
+        ids = np.fromiter(map(_id_or_bad, chain.from_iterable(edges)), dtype=np.int64, count=count)
     offsets = _offsets(sizes)
-    if _bad_rows(offsets, ids, n).any():
-        _raise_edge_error(edges, n)
+    _check_rows(edges, offsets, ids, n)
     return offsets, ids.astype(np.int32)
 
 
-def _raise_edge_error(edges, n):
-    """Raise the error the per-edge check gives for the first bad edge."""
-    for e in edges:
-        e = tuple(int(v) for v in e)
-        if len(e) < 2:
-            raise ValueError(f"hyperedge {e} has fewer than 2 nodes")
-        if len(set(e)) != len(e):
-            raise ValueError(f"duplicate node within hyperedge {e}")
-        for v in e:
-            if not (0 <= v < n):
-                raise ValueError(f"node id {v} out of range [0, {n})")
-    raise RuntimeError("the vectorized edge check rejected edges the per-edge check accepts")
+def _id_or_bad(v):
+    """int(v) clipped to [-1, MAX_NODES], or -1 when int() fails: out of
+    [0, n) exactly when int(v) is, so the row is bad and _check_rows words it
+    from int() of its own ids, as the per-edge check does."""
+    try:
+        return min(max(int(v), -1), MAX_NODES)
+    except (TypeError, ValueError, OverflowError):
+        return -1
+
+
+def _check_rows(rows, offsets, ids, n):
+    """Raise the per-edge check's error for the first row _bad_rows rejects,
+    worded from that row alone."""
+    bad = np.flatnonzero(_bad_rows(offsets, ids, n))
+    if not len(bad):
+        return
+    e = tuple(int(v) for v in rows[int(bad[0])])
+    if len(e) < 2:
+        raise ValueError(f"hyperedge {e} has fewer than 2 nodes")
+    if len(set(e)) != len(e):
+        raise ValueError(f"duplicate node within hyperedge {e}")
+    v = next(v for v in e if not 0 <= v < n)
+    raise ValueError(f"node id {v} out of range [0, {n})")
 
 
 def _gadget_arrays(gadgets, m):
@@ -377,13 +388,13 @@ def conductance(h: Hypergraph, s) -> float:
     return set_metrics(h, s)[2]
 
 
-def parse_hypergraph(text: str, default_c: float = 1.0, default_delta: float = 1.0) -> Hypergraph:
+def parse_hypergraph(text: str, default_delta: float = 1.0) -> Hypergraph:
     """Parse hypergraph text.
 
     Format: first content line is "<num_nodes> <num_hyperedges>", then one line
     per hyperedge listing its 1-based node ids separated by whitespace. Lines
     starting with "%" and blank lines are ignored; CRLF endings are fine.
-    Every hyperedge gets a single gadget (default_c, default_delta).
+    Every hyperedge gets a single gadget with c = 1 and delta = default_delta.
 
     Raises HypergraphFormatError on a malformed header, a non-numeric token, a
     node id out of range, a duplicate node within an edge, an edge of size < 2,
@@ -391,8 +402,7 @@ def parse_hypergraph(text: str, default_c: float = 1.0, default_delta: float = 1
     sign; num_nodes is at most MAX_NODES.
     """
     n, edges = _parse_edges(text)
-    gadget = GadgetParams(default_c, default_delta)
-    return Hypergraph(n, edges, _uniform_gadgets(len(edges), gadget))
+    return Hypergraph(n, edges, _uniform_gadgets(len(edges), GadgetParams(1.0, default_delta)))
 
 
 # Byte kinds of the vectorized passes over .hgr and sidecar text. The breaks

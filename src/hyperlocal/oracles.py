@@ -251,20 +251,7 @@ def _residuals_from_vector(h: Hypergraph, seeds, cfg, x):
     q = cfg.p - 1.0
     n = h.num_nodes
     seeds = set(seeds)
-    g_node = np.zeros(n)
-    for v in range(n):
-        acc = 0.0
-        for j in h.incident_gadgets[v]:
-            c = h.c_of[j]
-            xa = x[n + 2 * j]
-            xb = x[n + 2 * j + 1]
-            if xb > x[v]:
-                acc += c * _pow(xb - x[v], q)
-            if x[v] > xa:
-                acc -= c * _pow(x[v] - xa, q)
-        diff = (1.0 if v in seeds else 0.0) - x[v]
-        seedterm = math.copysign(_pow(abs(diff), q), diff) if diff != 0 else 0.0
-        g_node[v] = acc / cfg.gamma + h.degrees[v] * seedterm
+    g_node = np.array([_one_node_residual(h, seeds, cfg, x, v, x[v]) for v in range(n)])
     aux = np.zeros((h.num_gadgets, 2))
     for j in range(h.num_gadgets):
         c = h.c_of[j]

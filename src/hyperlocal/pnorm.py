@@ -35,16 +35,7 @@ from __future__ import annotations
 import math
 
 from .hypergraph import Hypergraph
-from .quadratic import (
-    VIOLATION_GUARD,
-    DiffusionConfig,
-    SolveResult,
-    _apply_hyperpush,
-    _drive,
-    _scan_node,
-    aux_ids,
-    settle,
-)
+from .quadratic import VIOLATION_GUARD, DiffusionConfig, SolveResult, _drive, aux_ids, solve
 
 _BISECT_ITERS = 80  # caps the evaluations of each stage of one _settle_pair
 _PUSH_TOL = 1e-9    # tau: a push lands r_i within tau*kappa*d_i of its target
@@ -52,11 +43,6 @@ _PUSH_TOL = 1e-9    # tau: a push lands r_i within tau*kappa*d_i of its target
 
 def _gap(z: float, q: float) -> float:
     return z ** q if z > 0.0 else 0.0
-
-
-def pnorm_node_residual(h: Hypergraph, state, cfg: DiffusionConfig, i: int) -> float:
-    """Fresh p-power residual of original node i from the live state."""
-    return _scan(h, state, cfg, i)[0]
 
 
 def _residual_at(cfg, adjacent, ind, di, t):
@@ -75,24 +61,6 @@ def _residual_at(cfg, adjacent, ind, di, t):
     else:
         seed = 0.0
     return acc / cfg.gamma + di * seed
-
-
-def pnorm_aux_residuals(h: Hypergraph, state, cfg: DiffusionConfig, j: int):
-    """Fresh (r_a, r_b) of gadget j with p-power flow terms."""
-    x = state.x
-    a, b = aux_ids(h, j)
-    xa = x.get(a, 0.0)
-    xb = x.get(b, 0.0)
-    q = cfg.p - 1.0
-    c = h.c_of[j]
-    core = h.wab_of[j] * _gap(xa - xb, q)
-    ra = -core
-    rb = core
-    for v in h.members_of[j]:
-        xv = x.get(v, 0.0)
-        ra += c * _gap(xv - xa, q)
-        rb -= c * _gap(xb - xv, q)
-    return ra, rb
 
 
 def _scan(h, state, cfg, i):
@@ -311,15 +279,16 @@ def _pair_residuals(member_x, c, wab, q, xa, xb):
     return ra, rb
 
 
-def pnorm_auxpush(h: Hypergraph, state, cfg: DiffusionConfig, j: int,
-                  i: int | None = None, dxi: float | None = None):
-    """Drive gadget j's p-power residuals to ~zero via the pair root-find.
+def pnorm_auxpush(h: Hypergraph, state, cfg: DiffusionConfig, j: int, i: int, dxi: float):
+    """Drive gadget j's p-power residuals to ~zero via the pair root-find
+    after node i was raised by dxi.
 
-    Same contract as the quadratic auxpush: returns nonnegative increments
-    (Delta x_a, Delta x_b), bumps member residuals by the induced nonnegative
-    amounts, and enqueues members pushed above the violation threshold. The
-    settled pair's residuals are recomputed once; a pair that misses the
-    bound of `_settle_bound` raises RuntimeError rather than being stored.
+    Same contract as one gadget of the quadratic settle: returns nonnegative
+    increments (Delta x_a, Delta x_b), bumps member residuals by the induced
+    nonnegative amounts, and enqueues members pushed above the violation
+    threshold. The settled pair's residuals are recomputed once; a pair that
+    misses the bound of `_settle_bound` raises RuntimeError rather than
+    being stored.
     """
     x = state.x
     a, b = aux_ids(h, j)
@@ -330,10 +299,9 @@ def pnorm_auxpush(h: Hypergraph, state, cfg: DiffusionConfig, j: int,
     state.touched_gadgets.add(j)
     xa0 = x.get(a, 0.0)
     xb0 = x.get(b, 0.0)
-    if i is not None and dxi is not None:
-        xi_new = x.get(i, 0.0)
-        if xi_new <= xa0 and xb0 <= xi_new - dxi:
-            return 0.0, 0.0
+    xi_new = x.get(i, 0.0)
+    if xi_new <= xa0 and xb0 <= xi_new - dxi:
+        return 0.0, 0.0
 
     xa, xb = xa0, xb0
     member_x = [(v, x.get(v, 0.0)) for v in members]
@@ -386,10 +354,10 @@ def _settle(h, state, cfg, i, dxi, adjacent, on_event):
 def pnorm_solve(h: Hypergraph, seeds, cfg: DiffusionConfig, on_event=None) -> SolveResult:
     """Run the p-norm diffusion to convergence (or to cfg.max_pushes).
 
-    p = 2 runs the closed-form quadratic kernels. The general kernels also
-    run at p = 2 when handed to _drive directly, which the cross-solver
-    agreement checks do; both kernel sets share _drive's queue policy.
+    p = 2 runs quadratic.solve. The general kernels also run at p = 2 when
+    handed to _drive directly, which the cross-solver agreement checks do;
+    both kernel sets share _drive's queue policy.
     """
     if cfg.p == 2.0:
-        return _drive(h, seeds, cfg, _scan_node, _apply_hyperpush, settle, on_event)
+        return solve(h, seeds, cfg, on_event)
     return _drive(h, seeds, cfg, _scan, _push, _settle, on_event)

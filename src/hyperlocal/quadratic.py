@@ -11,13 +11,12 @@ full graph is never materialized.
 
 `_drive` is the push loop of both solvers; each solver hands it three
 kernels (scan, push, settle). The p = 2 `settle` settles every gadget
-incident to the pushed node in one pass (`_settle_pairs`): the state's
-containers, gamma and kappa are read once per pass, a gadget's (w_ab,
-members, tol, round cap) come from one memoized record (h.settle_of),
-members' values are gathered once per edge, and c, x_a and x_b come from
-the push's own scan. The public `auxpush` runs the same pass on one
-gadget, so the pair-settle arithmetic exists once; the per-gadget loop it
-replaced is kept in the tests as the bit-for-bit reference.
+incident to the pushed node in one pass: the state's containers, gamma and
+kappa are read once per pass, a gadget's (w_ab, members, tol, round cap)
+come from one memoized record (h.settle_of), members' values are gathered
+once per edge, and c, x_a and x_b come from the push's own scan. The
+per-gadget loop it replaced is kept in the tests as the bit-for-bit
+reference.
 
 Work counters on DiffusionState: pushes, aux_pushes (settles that ran the
 pair solve), walk_pushes (pushes that walked the residual's breakpoints
@@ -119,44 +118,6 @@ def init_state(h: Hypergraph, seeds, cfg: DiffusionConfig) -> DiffusionState:
     return state
 
 
-def node_residual(h: Hypergraph, state: DiffusionState, cfg: DiffusionConfig, i: int) -> float:
-    """Recompute r_i from scratch (the incremental r is validated against this)."""
-    x = state.x
-    xi = x.get(i, 0.0)
-    n = h.num_nodes
-    acc = 0.0
-    for j in h.incident_gadgets[i]:
-        c = h.c_of[j]
-        a = n + 2 * j
-        xa = x.get(a, 0.0)
-        xb = x.get(a + 1, 0.0)
-        if xb > xi:
-            acc += c * (xb - xi)
-        if xi > xa:
-            acc -= c * (xi - xa)
-    ind = 1.0 if i in state.seeds else 0.0
-    return acc / cfg.gamma + h.degree_of[i] * (ind - xi)
-
-
-def aux_residuals(h: Hypergraph, state: DiffusionState, j: int):
-    """(r_a, r_b) of gadget j, recomputed. Assumes x_a >= x_b (maintained)."""
-    x = state.x
-    a, b = aux_ids(h, j)
-    xa = x.get(a, 0.0)
-    xb = x.get(b, 0.0)
-    c = h.c_of[j]
-    wab = h.wab_of[j]
-    ra = -wab * (xa - xb)
-    rb = wab * (xa - xb)
-    for v in h.members_of[j]:
-        xv = x.get(v, 0.0)
-        if xv > xa:
-            ra += c * (xv - xa)
-        if xb > xv:
-            rb -= c * (xb - xv)
-    return ra, rb
-
-
 def _scan_node(h, state, cfg, i):
     """One pass over i's incident gadgets: fresh residual plus push caches.
 
@@ -250,49 +211,19 @@ def _apply_hyperpush(h, state, cfg, i, ri, di, adjacent, caches):
     return delta
 
 
-def auxpush(h: Hypergraph, state: DiffusionState, cfg: DiffusionConfig, j: int,
-            i: int | None = None, dxi: float | None = None):
-    """Restore gadget j's residuals to zero after node i was raised by dxi.
-
-    Returns the nonnegative increments (Delta x_a, Delta x_b). Residuals of
-    the gadget's members are bumped by the (nonnegative) amounts induced by
-    the auxiliary movement, and members pushed above the violation threshold
-    are enqueued. The state is authoritative: residuals are recomputed here,
-    so the push is correct even when both perturbation terms are active.
-    Runs the kernel of `settle` on gadget j alone.
-    """
-    x = state.x
-    a = h.num_nodes + 2 * j
-    adjacent = [(h.c_of[j], x.get(a, 0.0), x.get(a + 1, 0.0))]
-    if i is None or dxi is None:
-        xi = xi_old = math.inf  # no early exit
-    else:
-        xi = x.get(i, 0.0)
-        xi_old = xi - dxi
-    return _settle_pairs(h, state, cfg, i, (j,), adjacent, xi, xi_old, None)
-
-
 def settle(h: Hypergraph, state: DiffusionState, cfg: DiffusionConfig, i: int, dxi: float,
            adjacent, on_event=None):
-    """Settle every gadget incident to i after the push raised x_i by dxi.
+    """Settle every gadget incident to i after the push raised x_i by dxi,
+    in h.incident_gadgets[i] order, emitting one "auxpush" event each.
 
     adjacent is the push's scan, (c, x_a, x_b) per gadget of
     h.incident_gadgets[i]; the push changed only x_i, so its auxiliary
-    values are still current. Emits one "auxpush" event per gadget.
-    """
-    xi = state.x[i]
-    _settle_pairs(h, state, cfg, i, h.incident_gadgets[i], adjacent, xi, xi - dxi, on_event)
-
-
-def _settle_pairs(h, state, cfg, i, gadgets, adjacent, xi, xi_old, on_event):
-    """Settle the auxiliary pair of each gadget of `gadgets` in turn, with
-    the state's reads hoisted out of the loop; adjacent[k] = (c, x_a, x_b)
-    of gadgets[k]. A pair is left as it is when the new x_i (xi) is not
-    above x_a and the old one (xi_old) not below x_b. Otherwise x_a and x_b
-    rise until both residuals are zero (a damped 2x2 solve that stops at
-    member breakpoints), the members' residuals take the induced
-    nonnegative bumps, and members pushed over the violation threshold are
-    enqueued. Returns the last gadget's (Delta x_a, Delta x_b).
+    values are still current. A pair is left as it is when the new x_i is
+    not above x_a and the old one (x_i - dxi) not below x_b; dxi = inf
+    settles every pair. Otherwise x_a and x_b rise until both residuals are
+    zero (a damped 2x2 solve that stops at member breakpoints), the members'
+    residuals take the induced nonnegative bumps, and members pushed over
+    the violation threshold are enqueued.
 
     A settle writes only auxiliary values, so the member values gathered for
     one gadget hold for the next gadget of the same edge: gadgets of an
@@ -314,16 +245,17 @@ def _settle_pairs(h, state, cfg, i, gadgets, adjacent, xi, xi_old, on_event):
     kappa = cfg.kappa
     thresh = 1.0 + VIOLATION_GUARD
     inf = math.inf
+    xi = x[i]
+    xi_old = xi - dxi
+    gadgets = h.incident_gadgets[i]
     settled = 0
     last = None
-    da = db = 0.0
     state.touched_gadgets.update(gadgets)
     for j, (c, xa0, xb0) in zip(gadgets, adjacent):
         # Nothing moved into the active range: both residuals untouched.
         if xi <= xa0 and xb0 <= xi_old:
-            da = db = 0.0
             if on_event is not None:
-                on_event("auxpush", {"gadget": j, "node": i, "da": da, "db": db})
+                on_event("auxpush", {"gadget": j, "node": i, "da": 0.0, "db": 0.0})
             continue
         wab, members, tol, rounds = records[j]
         if members is not last:
@@ -409,7 +341,6 @@ def _settle_pairs(h, state, cfg, i, gadgets, adjacent, xi, xi_old, on_event):
         if on_event is not None:
             on_event("auxpush", {"gadget": j, "node": i, "da": da, "db": db})
     state.aux_pushes += settled
-    return da, db
 
 
 def _drive(h, seeds, cfg, scan, push, settle, on_event=None) -> SolveResult:
@@ -456,8 +387,11 @@ def _drive(h, seeds, cfg, scan, push, settle, on_event=None) -> SolveResult:
 
 
 def solve(h: Hypergraph, seeds, cfg: DiffusionConfig, on_event=None) -> SolveResult:
-    """Run the diffusion to convergence (or to cfg.max_pushes); x restricted
-    to positive original entries."""
+    """Run the p = 2 diffusion to convergence (or to cfg.max_pushes); x
+    restricted to positive original entries. p < 2 raises ValueError: its
+    kernels are pnorm.pnorm_solve's."""
+    if cfg.p != 2.0:
+        raise ValueError(f"solve runs p = 2 only, got p = {cfg.p}; use pnorm_solve")
     return _drive(h, seeds, cfg, _scan_node, _apply_hyperpush, settle, on_event)
 
 

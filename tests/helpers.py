@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from hyperlocal.hypergraph import GadgetParams, Hypergraph, HypergraphFormatError, splitting_penalty
+from hyperlocal.oracles import _residuals_from_vector
 from hyperlocal.pnorm import _PUSH_TOL, _residual_at
 from hyperlocal.quadratic import VIOLATION_GUARD, SolveResult, _apply_hyperpush, _scan_node, init_state
 from hyperlocal.sweep import SweepProfile
@@ -35,6 +36,15 @@ def random_seeds(h, seed, kmax=3):
 
 def delta_max(h):
     return float(max(h.gadget_delta)) if h.num_gadgets else 1.0
+
+
+def fresh_residuals(h, state, cfg):
+    """(node residuals over V, (r_a, r_b) per gadget) of state.x, recomputed
+    from scratch by the oracle."""
+    full = np.zeros(h.num_nodes + 2 * h.num_gadgets)
+    for k, v in state.x.items():
+        full[k] = v
+    return _residuals_from_vector(h, state.seeds, cfg, full)
 
 
 def full_scan_sweepcut(h, x):

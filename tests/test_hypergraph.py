@@ -1,5 +1,6 @@
 import gc
 import math
+import time
 import tracemalloc
 from functools import partial
 
@@ -296,6 +297,7 @@ def test_columnar_build_matches_list_reference(case):
     (3, [(0, 2 ** 70)]),               # beyond int64
     (3, [(0.0, 1.0), (1, 3)]),         # int() of floats, then out of range
     (3, [("0", "x")]),                 # not a number
+    (3, [(0,), ("x", 1)]),             # a short edge wins over a later non-number
 ])
 def test_edge_list_errors_match_reference(n, edges):
     with pytest.raises(ValueError) as want:
@@ -309,6 +311,30 @@ def test_reused_edge_view_is_checked_against_the_node_count():
     h = Hypergraph(5, [(0, 4), (1, 2)])
     with pytest.raises(ValueError, match=r"^node id 4 out of range \[0, 3\)$"):
         Hypergraph(3, h.hyperedges)
+
+
+def test_edge_list_error_costs_no_more_than_the_build():
+    """The error is worded from the first bad edge alone: on 150k 4-node
+    edges whose last edge repeats a node it takes less than twice the build
+    of the good list (a re-check of every edge in Python took 5x)."""
+    n = 150_000
+    good = [(k, k + 1, k + 2, k + 3) for k in range(n - 3)]
+    bad = good[:-1] + [(n - 4, n - 3, n - 3, n - 1)]
+
+    def rejected():
+        with pytest.raises(ValueError) as exc:
+            Hypergraph(n, bad)
+        assert str(exc.value) == f"duplicate node within hyperedge {bad[-1]}"
+
+    def best_of_5(build):
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            build()
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    assert best_of_5(rejected) < 2 * best_of_5(lambda: Hypergraph(n, good))
 
 
 _LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028"]
@@ -369,8 +395,8 @@ def test_vectorized_parse_matches_line_reference(text):
     assert got == _outcome(reference_parse_edges, text)
     if got[0] == "ok":
         n, edges = got[1:]
-        assert_same_as_reference(parse_hypergraph(text, 2.0, 1.5), ReferenceHypergraph(
-            n, edges, [[GadgetParams(2.0, 1.5)] for _ in edges]))
+        assert_same_as_reference(parse_hypergraph(text, 1.5), ReferenceHypergraph(
+            n, edges, [[GadgetParams(1.0, 1.5)] for _ in edges]))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])

@@ -12,6 +12,7 @@ from helpers import (
     bisection_push,
     bisection_settle_pair,
     delta_max,
+    fresh_residuals,
     random_instance,
     random_seeds,
 )
@@ -24,18 +25,16 @@ from hyperlocal.pnorm import (
     _scan,
     _settle,
     _settle_pair,
-    pnorm_aux_residuals,
     pnorm_auxpush,
-    pnorm_node_residual,
     pnorm_solve,
 )
 from hyperlocal.quadratic import (
     DiffusionConfig,
     DiffusionState,
     _drive,
+    _scan_node,
     aux_ids,
     ledger_bound,
-    node_residual,
     solve,
 )
 from hyperlocal.synth import planted_hypergraph, sample_seeds
@@ -67,19 +66,19 @@ def test_residual_power_two_equals_quadratic():
     st0 = state_with(H := parse_hypergraph("4 2\n1 2 3\n2 3 4\n"), [1],
                      {0: 0.3, 1: 0.7, 4: 0.25, 5: 0.1, 6: 0.05})
     for v in range(H.num_nodes):
-        assert pnorm_node_residual(H, st0, c2, v) == node_residual(H, st0, c2, v)
+        assert _scan(H, st0, c2, v)[0] == _scan_node(H, st0, c2, v)[0]
 
 
 def test_residual_at_zero_is_degree():
     st0 = state_with(TRIANGLE, [0])
-    assert pnorm_node_residual(TRIANGLE, st0, cfg(), 0) == 1.0
+    assert fresh_residuals(TRIANGLE, st0, cfg())[0][0] == 1.0
 
 
 def test_residual_isolated_seed_half_mass():
     # No gadget flow (x_a ties x_i from above, x_b sits below): only the seed
     # term d_i * (1 - x_i)^(p-1) remains.
     st0 = state_with(EDGE, [0], {0: 0.5, 2: 0.5, 3: 0.2})
-    r = pnorm_node_residual(EDGE, st0, cfg(p=1.4), 0)
+    r = fresh_residuals(EDGE, st0, cfg(p=1.4))[0][0]
     assert r == pytest.approx(0.5 ** 0.4, abs=1e-15)
     assert r == pytest.approx(0.7578582832551991, abs=1e-12)
 
@@ -87,7 +86,7 @@ def test_residual_isolated_seed_half_mass():
 def test_residual_seed_term_sign_flips_above_indicator():
     # A non-seed with positive x owes mass back: -d_i * x_i^(p-1).
     st0 = state_with(EDGE, [1], {0: 0.5, 2: 0.5, 3: 0.2})
-    r = pnorm_node_residual(EDGE, st0, cfg(p=1.4), 0)
+    r = fresh_residuals(EDGE, st0, cfg(p=1.4))[0][0]
     assert r == pytest.approx(-(0.5 ** 0.4), abs=1e-14)
 
 
@@ -158,12 +157,13 @@ def test_solve_postconditions_random(seed):
                                                          if k == "auxpush" else p["dx"]))
     assert res.converged
     st1 = res.state
+    g_node, aux = fresh_residuals(h, st1, c)
     for v in range(h.num_nodes):
-        g = pnorm_node_residual(h, st1, c, v)
+        g = g_node[v]
         assert g >= -1e-6
         assert g <= c.kappa * h.degrees[v] + 1e-6
     for j in st1.touched_gadgets:
-        ra, rb = pnorm_aux_residuals(h, st1, c, j)
+        ra, rb = aux[j]
         assert abs(ra) <= 1e-6 and abs(rb) <= 1e-6
     for k, v in st1.x.items():
         assert -1e-12 <= v <= 1 + 1e-12
@@ -217,7 +217,7 @@ def test_mass_identity_generalizes():
     res = pnorm_solve(TRIANGLE, [0], c)
     st1 = res.state
     q = c.p - 1.0
-    total = sum(pnorm_node_residual(TRIANGLE, st1, c, v) for v in range(3))
+    total = sum(fresh_residuals(TRIANGLE, st1, c)[0])
     expect = 1.0 * (1.0 - st1.x.get(0, 0.0)) ** q
     expect -= sum(1.0 * st1.x.get(v, 0.0) ** q for v in (1, 2))
     assert total == pytest.approx(expect, abs=1e-6)
@@ -249,7 +249,7 @@ def test_auxpush_restores_zero_residuals():
     st0 = state_with(EDGE, [0], {0: 0.11})
     da, db = pnorm_auxpush(EDGE, st0, c, 0, i=0, dxi=0.11)
     assert da > 0 and db > 0
-    ra, rb = pnorm_aux_residuals(EDGE, st0, c, 0)
+    ra, rb = fresh_residuals(EDGE, st0, c)[1][0]
     scale = 1e-9 * (1.0 + 1.0 + 1.0 * 2)
     assert abs(ra) <= 10 * scale and abs(rb) <= 10 * scale
     assert st0.x[2] >= st0.x[3]
@@ -268,7 +268,7 @@ def test_auxpush_survives_tiny_gap():
     c = cfg(p=1.36)
     st0 = state_with(EDGE, [0], {0: 1e-9})
     pnorm_auxpush(EDGE, st0, c, 0, i=0, dxi=1e-9)
-    ra, rb = pnorm_aux_residuals(EDGE, st0, c, 0)
+    ra, rb = fresh_residuals(EDGE, st0, c)[1][0]
     assert abs(ra) <= 1e-7 and abs(rb) <= 1e-7
 
 
@@ -294,11 +294,11 @@ def test_member_bumps_match_recomputation():
     h = parse_hypergraph("3 1\n1 2 3\n")
     c = cfg(p=1.4)
     st0 = state_with(h, [0], {0: 0.2, 1: 0.05})
-    st0.r[1] = pnorm_node_residual(h, st0, c, 1)
-    st0.r[2] = pnorm_node_residual(h, st0, c, 2)
+    st0.r[1], st0.r[2] = fresh_residuals(h, st0, c)[0][1:]
     pnorm_auxpush(h, st0, c, 0, i=0, dxi=0.2)
-    assert st0.r[1] == pytest.approx(pnorm_node_residual(h, st0, c, 1), abs=1e-7)
-    assert st0.r[2] == pytest.approx(pnorm_node_residual(h, st0, c, 2), abs=1e-7)
+    g = fresh_residuals(h, st0, c)[0]
+    assert st0.r[1] == pytest.approx(g[1], abs=1e-7)
+    assert st0.r[2] == pytest.approx(g[2], abs=1e-7)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import delta_max, random_instance, random_seeds, reference_auxpush, reference_solve
+from helpers import (
+    delta_max,
+    fresh_residuals,
+    random_instance,
+    random_seeds,
+    reference_auxpush,
+    reference_solve,
+)
 from hyperlocal.hypergraph import GadgetParams, Hypergraph, parse_hypergraph
 from hyperlocal.oracles import _residuals_from_vector
 from hyperlocal.pnorm import pnorm_solve
@@ -18,11 +25,9 @@ from hyperlocal.quadratic import (
     _scan_node,
     _solve_push_amount,
     aux_ids,
-    aux_residuals,
-    auxpush,
     init_state,
     ledger_bound,
-    node_residual,
+    settle,
     solve,
 )
 from hyperlocal.synth import SplitMix64, planted_hypergraph, sample_seeds
@@ -119,32 +124,32 @@ def test_init_rejects_zero_degree_seed():
 
 
 def test_residual_at_zero_is_degree_for_seeds():
-    st0 = state_with(H44, [1])
-    assert node_residual(H44, st0, cfg(), 1) == 2.0
-    assert node_residual(H44, st0, cfg(), 3) == 0.0
+    g, _ = fresh_residuals(H44, state_with(H44, [1]), cfg())
+    assert g[1] == 2.0
+    assert g[3] == 0.0
 
 
 def test_residual_saturated_seed_two_unit_gadgets():
     # x_1 = 1 with both gadget pairs at zero: -(1/0.1)*2 + d*(1-1) = -20.
     st0 = state_with(H44, [1], {1: 1.0})
-    assert node_residual(H44, st0, cfg(gamma=0.1), 1) == pytest.approx(-20.0, abs=1e-12)
+    assert fresh_residuals(H44, st0, cfg(gamma=0.1))[0][1] == pytest.approx(-20.0, abs=1e-12)
 
 
 def test_aux_residuals_zero_state():
     st0 = state_with(EDGE, [0])
-    assert aux_residuals(EDGE, st0, 0) == (0.0, 0.0)
+    assert tuple(fresh_residuals(EDGE, st0, cfg())[1][0]) == (0.0, 0.0)
 
 
 def test_aux_residuals_one_raised_member():
     st0 = state_with(EDGE, [0], {0: 0.5})
-    ra, rb = aux_residuals(EDGE, st0, 0)
+    ra, rb = fresh_residuals(EDGE, st0, cfg())[1][0]
     assert ra == pytest.approx(0.5, abs=1e-15)
     assert rb == 0.0
 
 
 def test_aux_residuals_hand_solved_fixpoint():
     st0 = state_with(EDGE, [0], {0: 0.11, 2: 0.0733333, 3: 0.0366667})
-    ra, rb = aux_residuals(EDGE, st0, 0)
+    ra, rb = fresh_residuals(EDGE, st0, cfg())[1][0]
     assert abs(ra) <= 1e-6
     assert abs(rb) <= 1e-6
 
@@ -177,7 +182,7 @@ def test_fast_path_when_auxiliaries_clear_the_target():
     st0.r[0] = 1.0
     dx = push(EDGE, st0, c, 0)
     assert dx == pytest.approx(0.95, abs=1e-15)
-    assert node_residual(EDGE, st0, c, 0) == pytest.approx(0.05, abs=1e-12)
+    assert fresh_residuals(EDGE, st0, c)[0][0] == pytest.approx(0.05, abs=1e-12)
 
 
 def test_push_caches_match_fresh_scan():
@@ -203,7 +208,7 @@ def test_push_residual_lands_on_target_across_breakpoints():
     })
     dx = push(h, st0, c, 0)
     assert dx > 0
-    assert node_residual(h, st0, c, 0) == pytest.approx(c.rho * c.kappa * h.degrees[0], abs=1e-9)
+    assert fresh_residuals(h, st0, c)[0][0] == pytest.approx(c.rho * c.kappa * h.degrees[0], abs=1e-9)
 
 
 def test_solve_push_amount_matches_bisection():
@@ -223,7 +228,7 @@ def test_solve_push_amount_matches_bisection():
     def residual_at(t):
         probe = state_with(h, [0], dict(st0.x))
         probe.x[0] = t
-        return node_residual(h, probe, c, 0)
+        return fresh_residuals(h, probe, c)[0][0]
 
     lo, hi = 0.0, 1.0
     for _ in range(100):
@@ -236,14 +241,22 @@ def test_solve_push_amount_matches_bisection():
 
 
 # ---------------------------------------------------------------------------
-# auxpush
+# settle
+
+
+def settle_node(h, state, c, i, dxi):
+    """settle on i's gadgets after x_i rose by dxi, handed the scan a push
+    would hand it; returns the (da, db) of each "auxpush" event."""
+    moves = []
+    settle(h, state, c, i, dxi, _scan_node(h, state, c, i)[1],
+           lambda kind, p: moves.append((p["da"], p["db"])))
+    return moves
 
 
 def test_auxpush_trivial_when_italics_stay_clear():
     c = cfg()
     st0 = state_with(EDGE, [0], {0: 0.5, 2: 0.6})
-    da, db = auxpush(EDGE, st0, c, 0, i=0, dxi=0.2)
-    assert (da, db) == (0.0, 0.0)
+    assert settle_node(EDGE, st0, c, 0, 0.2) == [(0.0, 0.0)]
     assert 3 not in st0.x
 
 
@@ -253,9 +266,9 @@ def test_auxpush_not_trivial_when_b_side_was_active():
     # the b-side flow changed and the full settle must run.
     c = cfg()
     st0 = state_with(EDGE, [0], {0: 0.5, 1: 0.9, 2: 0.6, 3: 0.3})
-    da, db = auxpush(EDGE, st0, c, 0, i=0, dxi=0.5)
+    [(da, db)] = settle_node(EDGE, st0, c, 0, 0.5)
     assert da > 0.0 and db > 0.0
-    ra, rb = aux_residuals(EDGE, st0, 0)
+    ra, rb = fresh_residuals(EDGE, st0, c)[1][0]
     assert abs(ra) <= 1e-9 and abs(rb) <= 1e-9
     assert st0.x[2] >= st0.x[3]
 
@@ -263,10 +276,10 @@ def test_auxpush_not_trivial_when_b_side_was_active():
 def test_auxpush_hand_solved_pair():
     c = cfg(kappa=0.1, gamma=0.1)
     st0 = state_with(EDGE, [0], {0: 0.11})
-    da, db = auxpush(EDGE, st0, c, 0, i=0, dxi=0.11)
+    [(da, db)] = settle_node(EDGE, st0, c, 0, 0.11)
     assert da == pytest.approx(0.22 / 3.0, abs=1e-6)
     assert db == pytest.approx(0.11 / 3.0, abs=1e-6)
-    ra, rb = aux_residuals(EDGE, st0, 0)
+    ra, rb = fresh_residuals(EDGE, st0, c)[1][0]
     assert abs(ra) <= 1e-9 and abs(rb) <= 1e-9
     assert st0.x[2] >= st0.x[3]
     # The b-side rise leaks residual mass into the other member and queues it.
@@ -280,8 +293,8 @@ def test_auxpush_respects_member_breakpoints():
     h = Hypergraph(3, [(0, 1, 2)])
     c = cfg()
     st0 = state_with(h, [0], {0: 0.9, 1: 0.3, 2: 0.05})
-    auxpush(h, st0, c, 0)
-    ra, rb = aux_residuals(h, st0, 0)
+    settle_node(h, st0, c, 0, math.inf)
+    ra, rb = fresh_residuals(h, st0, c)[1][0]
     assert abs(ra) <= 1e-9 and abs(rb) <= 1e-9
     a, b = aux_ids(h, 0)
     assert st0.x[a] >= st0.x[b] - 1e-12
@@ -319,11 +332,22 @@ def test_solve_mass_identity():
     c = cfg(kappa=0.05)
     res = solve(h, seeds, c)
     st0 = res.state
-    total_g = sum(node_residual(h, st0, c, v) for v in range(h.num_nodes))
+    total_g = sum(fresh_residuals(h, st0, c)[0])
     expect = sum(h.degrees[v] * (1.0 - st0.x.get(v, 0.0)) for v in seeds)
     expect -= sum(h.degrees[v] * st0.x.get(v, 0.0)
                   for v in range(h.num_nodes) if v not in set(seeds))
     assert total_g == pytest.approx(expect, abs=1e-9)
+
+
+def test_solve_rejects_p_below_two():
+    """solve runs the p = 2 kernels only. At p = 1.4 it once returned the
+    p = 2 answer as converged on this hyperedge (x_0 = 0.42011, where
+    pnorm_solve gives 0.14601); now it raises and names pnorm_solve."""
+    h = Hypergraph(3, [(0, 1, 2)])
+    c = cfg(kappa=0.01, p=1.4)
+    with pytest.raises(ValueError, match="pnorm_solve"):
+        solve(h, [0], c)
+    assert pnorm_solve(h, [0], c).x[0] == pytest.approx(0.14601, abs=1e-5)
 
 
 def test_solve_push_cap_carries_partial_state():
@@ -395,17 +419,20 @@ def test_settle_pass_matches_per_gadget_reference(gadgets, max_pushes):
     assert gadgets == "one" or multi >= 90  # a one-edge instance may draw one gadget
 
 
-def test_auxpush_is_the_settle_kernel_on_one_gadget():
-    """auxpush on each gadget in turn, with and without the (i, dxi) early
-    exit, leaves the state the reference auxpush leaves."""
+def test_settle_matches_reference_auxpush_on_each_node():
+    """settle on each node in turn, with and without the (x_i, dxi) early
+    exit (dxi = inf settles every pair), leaves the state and the moves that
+    reference_auxpush on the node's gadgets, in incident_gadgets order,
+    leaves."""
     h = _multi_gadget(random_instance(31, max_n=12, max_m=16, max_size=5), 31)
     c = cfg(kappa=0.05)
     start = {v: 0.1 * (1 + v % 7) for v in range(h.num_nodes)}
-    for i, dxi in ((None, None), (0, 0.3), (1, 1e-3)):
+    for dxi in (math.inf, 0.3, 1e-3):
         got = state_with(h, [0], start)
         want = state_with(h, [0], start)
-        for j in range(h.num_gadgets):
-            assert auxpush(h, got, c, j, i, dxi) == reference_auxpush(h, want, c, j, i, dxi)
+        for i in range(h.num_nodes):
+            assert settle_node(h, got, c, i, dxi) == [
+                reference_auxpush(h, want, c, j, i, dxi) for j in h.incident_gadgets[i]]
         for name in ("x", "r"):
             assert ([(k, v.hex()) for k, v in getattr(got, name).items()]
                     == [(k, v.hex()) for k, v in getattr(want, name).items()])
@@ -500,7 +527,7 @@ def test_per_push_progress_constant_is_the_damped_one():
     # states like this one.
     c = cfg(kappa=0.1, gamma=0.1, rho=0.5)
     st0 = state_with(EDGE, [0], {0: 0.2, 2: 0.13001, 3: 0.05})
-    ri = node_residual(EDGE, st0, c, 0)
+    ri = fresh_residuals(EDGE, st0, c)[0][0]
     assert ri > c.kappa * 1.0 * (1.0 + VIOLATION_GUARD)
     dx = push(EDGE, st0, c, 0)
     drop = 1.0 * dx
@@ -522,12 +549,13 @@ def test_solve_postconditions_random(seed, kappa):
     assert res.converged
     assert all(m >= 0 for m in moves)
     st1 = res.state
+    g_node, aux = fresh_residuals(h, st1, c)
     for v in range(h.num_nodes):
-        g = node_residual(h, st1, c, v)
+        g = g_node[v]
         assert g >= -1e-9
         assert g <= c.kappa * h.degrees[v] * (1 + 1e-9)
     for j in st1.touched_gadgets:
-        ra, rb = aux_residuals(h, st1, j)
+        ra, rb = aux[j]
         assert abs(ra) <= 1e-8 and abs(rb) <= 1e-8
     for k, v in st1.x.items():
         assert -1e-12 <= v <= 1 + 1e-12
