@@ -1,20 +1,33 @@
 """Deterministic instance generators and reference implementations shared
 across test modules."""
 
+import hashlib
 import math
+import platform
+import sys
 
 import numpy as np
 
 from hyperlocal.hypergraph import GadgetParams, Hypergraph, HypergraphFormatError, splitting_penalty
 from hyperlocal.oracles import _residuals_from_vector
-from hyperlocal.pnorm import _PUSH_TOL, _residual_at
-from hyperlocal.quadratic import VIOLATION_GUARD, SolveResult, _apply_hyperpush, _scan_node, init_state
+from hyperlocal.pnorm import _PUSH_TOL, _residual_at, pnorm_solve
+from hyperlocal.quadratic import (
+    VIOLATION_GUARD,
+    DiffusionConfig,
+    SolveResult,
+    _apply_hyperpush,
+    _scan_node,
+    init_state,
+)
 from hyperlocal.sweep import SweepProfile
-from hyperlocal.synth import SplitMix64
+from hyperlocal.synth import SplitMix64, planted_hypergraph, sample_seeds
 
 
 def random_instance(seed, max_n=30, max_m=60, max_size=6, deltas=(1.0, 2.0, 3.0),
-                    min_n=3):
+                    min_n=3, max_gadgets=1):
+    """Random hypergraph with one gadget (c = 1) per edge, or with
+    max_gadgets > 1, 1..max_gadgets gadgets per edge with c drawn from
+    {0.5, 1, 2} (those draws leave the one-gadget streams unchanged)."""
     rng = SplitMix64(seed)
     n = min_n + rng.randrange(max_n - min_n + 1)
     m = 1 + rng.randrange(max_m)
@@ -23,7 +36,12 @@ def random_instance(seed, max_n=30, max_m=60, max_size=6, deltas=(1.0, 2.0, 3.0)
     for _ in range(m):
         size = 2 + rng.randrange(min(max_size, n) - 1)
         edges.append(tuple(sorted(rng.sample(range(n), size))))
-        gadgets.append([GadgetParams(1.0, deltas[rng.randrange(len(deltas))])])
+        if max_gadgets == 1:
+            gadgets.append([GadgetParams(1.0, deltas[rng.randrange(len(deltas))])])
+        else:
+            gadgets.append([GadgetParams((0.5, 1.0, 2.0)[rng.randrange(3)],
+                                         deltas[rng.randrange(len(deltas))])
+                            for _ in range(1 + rng.randrange(max_gadgets))])
     return Hypergraph(n, edges, gadgets)
 
 
@@ -454,3 +472,92 @@ def reference_solve(h, seeds, cfg, on_event=None):
     return SolveResult(x=xv, state=state, converged=not queue, pushes=state.pushes,
                        sum_pushed_degree=state.sum_pushed_degree,
                        seed_volume=state.seed_volume)
+
+
+# ---------------------------------------------------------------------------
+# The solver digest corpus. tests/golden/solver_digests.json holds one SHA-256
+# per case, written by scripts/solver_digests.py; tests/test_golden.py
+# recomputes them, so a refactor of the solvers that changes any output bit
+# shows up as a digest mismatch.
+
+
+def _hexed(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+class SolveDigest:
+    """on_event hook that hashes the event stream; digest(res) then adds the
+    solve's x and r (as float.hex), every counter, the queue, the touched
+    gadgets and the converged flag."""
+
+    def __init__(self):
+        self._sha = hashlib.sha256()
+
+    def __call__(self, kind, payload):
+        self._sha.update(repr((kind, sorted((k, _hexed(v)) for k, v in payload.items())))
+                         .encode())
+
+    def digest(self, res):
+        st = res.state
+        parts = (
+            [(k, st.x[k].hex()) for k in sorted(st.x)],
+            [(k, st.r[k].hex()) for k in sorted(st.r)],
+            (st.pushes, st.aux_pushes, st.root_evals, st.walk_pushes, st.peak_queue,
+             st.sum_pushed_degree.hex(), st.seed_volume.hex()),
+            list(st.queue), sorted(st.in_queue), sorted(st.touched_gadgets),
+            res.converged,
+        )
+        self._sha.update(repr(parts).encode())
+        return self._sha.hexdigest()
+
+
+def p2_digest_cases():
+    """(name, h, seeds, cfg) of the corpus's p = 2 cases, built lazily:
+    acceptance check 1's 100 instances at their kappa, uncapped and capped
+    at 7 pushes; 40 instances with 1-3 gadgets per edge; five chain queries
+    at 100 blocks."""
+    for k in range(100):
+        h = random_instance(1000 + k, max_n=50, max_m=100, max_size=8)
+        seeds = random_seeds(h, 1000 + k)
+        kappa = 0.01 if k % 2 == 0 else 0.1
+        yield f"check1/{k}", h, seeds, DiffusionConfig(kappa=kappa)
+        yield f"check1-capped/{k}", h, seeds, DiffusionConfig(kappa=kappa, max_pushes=7)
+    for k in range(40):
+        h = random_instance(7000 + k, max_n=12, max_m=14, max_size=5, max_gadgets=3)
+        yield f"gadgets-p2/{k}", h, random_seeds(h, 7000 + k), DiffusionConfig(kappa=0.1)
+    h, labels = planted_hypergraph([50] * 100, 120, (3, 5), 0.05, 4242,
+                                   cross_scope="chain", delta=1.0)
+    for b in range(0, 100, 20):
+        seeds = sample_seeds(labels, b, 5, "uniform", 99 + b, degrees=h.degrees)
+        yield f"chain/{b}", h, seeds, DiffusionConfig(kappa=0.01)
+
+
+def pnorm_digest_cases():
+    """(name, h, seeds, cfg) of the corpus's p < 2 cases, built lazily: 12
+    small one-gadget instances at p = 1.4, 10 multi-gadget ones at p = 1.4
+    and 1.7 capped at 400 pushes (the dearest takes 2 331 uncapped), and
+    three planted p = 1.4 fixtures at the benchmark's kappa = vol(R) / 3000."""
+    for k in range(12):
+        h = random_instance(k, max_n=12, max_m=14, max_size=5)
+        yield f"p1.4/{k}", h, random_seeds(h, k), DiffusionConfig(kappa=0.1, p=1.4)
+    for k in range(10):
+        h = random_instance(8000 + k, max_n=12, max_m=14, max_size=5, max_gadgets=3)
+        p = 1.4 if k % 2 == 0 else 1.7
+        cfg = DiffusionConfig(kappa=0.1, p=p, max_pushes=400)
+        yield f"gadgets-p{p}/{k}", h, random_seeds(h, 8000 + k), cfg
+    for fixture in (1000, 1001, 1002):
+        h, labels = planted_hypergraph([200, 200], 600, (3, 6), 0.05, fixture, delta=1.0)
+        seeds = sample_seeds(labels, 0, 5, "degree_proportional", fixture, degrees=h.degrees)
+        kappa = sum(h.degree_of[v] for v in seeds) / 3000.0
+        yield f"planted-p1.4/{fixture}", h, seeds, DiffusionConfig(kappa=kappa, p=1.4)
+
+
+def libm_tag():
+    """Where the p < 2 digests hold: their arithmetic goes through libm's pow."""
+    return f"{sys.platform}-{platform.machine()}-{'-'.join(platform.libc_ver())}"
+
+
+def case_digest(h, seeds, cfg):
+    """SHA-256 of one solve (pnorm_solve, which runs quadratic.solve at p = 2)."""
+    hook = SolveDigest()
+    return hook.digest(pnorm_solve(h, seeds, cfg, on_event=hook))
