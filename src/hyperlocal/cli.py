@@ -165,7 +165,7 @@ def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux, delta_max, report):
     t0 = time.perf_counter()
     res = pnorm_solve(h, seeds, cfg)
     solve_s = round(time.perf_counter() - t0, 6)
-    bound = ledger_bound(cfg, res.seed_volume, delta_max, cfg.p)
+    bound = ledger_bound(cfg, res.seed_volume, delta_max)
     timings.update(solve_s=solve_s, sweep_s=0.0, write_s=0.0)
     report.update({
         "wall_time_s": solve_s,
@@ -384,7 +384,7 @@ def _cmd_check(args) -> int:
     else:
         print("skip reference comparison (instance too large)")
 
-    bound = ledger_bound(cfg, res.seed_volume, _delta_max(h), cfg.p)
+    bound = ledger_bound(cfg, res.seed_volume, _delta_max(h))
     report("push ledger within bound", res.sum_pushed_degree <= bound,
            f"{res.sum_pushed_degree:.6g} <= {bound:.6g}")
 

@@ -82,6 +82,10 @@ def _member_row(edge_rows, gadget_edge, j):
     return edge_rows[gadget_edge.item(j)]
 
 
+def _wab(c, delta, j):
+    return c.item(j) * delta.item(j)
+
+
 def _settle_record(c_of, wab_of, members_of, j):
     c, wab, members = c_of[j], wab_of[j], members_of[j]
     # The quadratic pair settle's residual tolerance and round cap.
@@ -163,7 +167,7 @@ class Hypergraph:
     Node ids are 0-based. Gadget j owns the auxiliary pair n + 2j, n + 2j + 1
     of the solvers. Arrays:
       edge_offsets, edge_members   CSR rows of the hyperedges (int64, int32);
-      gadget_edge, gadget_c, gadget_delta, gadget_wab   one entry per gadget,
+      gadget_edge, gadget_c, gadget_delta   one entry per gadget,
                                    edge-major (int32, float64);
       incidence_offsets, incidence CSR rows of each node's gadget ids,
                                    ascending (int64, int32);
@@ -171,8 +175,8 @@ class Hypergraph:
     `hyperedges[k]` (a tuple of node ids) and `gadgets[k]` (a GadgetParams
     list) are read-only list views. The solvers and the sweep read the
     memoized views `incident_gadgets[v]`, `degree_of[v]`, `members_of[j]`,
-    `edge_of[j]`, `c_of[j]`, `wab_of[j]` and `delta_of[j]`, which hold
-    Python values for the keys read so far. `settle_of[j]` is the record the
+    `edge_of[j]`, `c_of[j]`, `wab_of[j]` (c * delta, formed on first read)
+    and `delta_of[j]`, which hold Python values for the keys read so far. `settle_of[j]` is the record the
     p = 2 pair settle reads per gadget, (wab, members, tol, round cap): one
     lookup in place of four, filled through the views above (c comes with
     the settle's x_a and x_b from the push's scan).
@@ -230,13 +234,11 @@ class Hypergraph:
         self.gadget_edge = g_edge
         self.gadget_c = g_c
         self.gadget_delta = g_delta
-        self.gadget_wab = g_c * g_delta
         self.degrees = deg
         self.total_volume = float(deg.sum())
         self.num_gadgets = len(g_edge)
-        self.max_edge_size = int(sizes.max()) if m else 0
-        for arr in (offsets, members, g_edge, g_c, g_delta, self.gadget_wab,
-                    self.incidence_offsets, self.incidence, deg):
+        for arr in (offsets, members, g_edge, g_c, g_delta, self.incidence_offsets,
+                    self.incidence, deg):
             arr.flags.writeable = False  # the views memoize what they read
 
         self.hyperedges = EdgeRows(offsets, members)
@@ -248,7 +250,7 @@ class Hypergraph:
         self.degree_of = LazyView(deg.item)
         self.edge_of = LazyView(g_edge.item)
         self.c_of = LazyView(g_c.item)
-        self.wab_of = LazyView(self.gadget_wab.item)
+        self.wab_of = LazyView(partial(_wab, g_c, g_delta))
         self.delta_of = LazyView(g_delta.item)
         self.settle_of = LazyView(partial(_settle_record, self.c_of, self.wab_of,
                                           self.members_of))

@@ -26,8 +26,10 @@ the residual can jump by more than kappa*d_i across one float step of x_i
 On the planted p = 1.4 fixtures a push evaluates the residual about 12
 times and a settle the defect about 7.6 times (80-step bisection: 31).
 
-state.root_evals counts every kind of evaluation; every push is a
-root-find, so each counts in state.walk_pushes.
+quadratic._drive runs `_scan`, `_push` and `settle`, which has
+quadratic.settle's contract and its own member-bump loop. state.root_evals
+counts every kind of evaluation; every push is a root-find, so each counts
+in state.walk_pushes.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 
 from .hypergraph import Hypergraph
-from .quadratic import VIOLATION_GUARD, DiffusionConfig, SolveResult, _drive, aux_ids, solve
+from .quadratic import VIOLATION_GUARD, DiffusionConfig, SolveResult, _drive, solve
 
 _BISECT_ITERS = 80  # caps the evaluations of each stage of one _settle_pair
 _PUSH_TOL = 1e-9    # tau: a push lands r_i within tau*kappa*d_i of its target
@@ -279,74 +281,66 @@ def _pair_residuals(member_x, c, wab, q, xa, xb):
     return ra, rb
 
 
-def pnorm_auxpush(h: Hypergraph, state, cfg: DiffusionConfig, j: int, i: int, dxi: float):
-    """Drive gadget j's p-power residuals to ~zero via the pair root-find
-    after node i was raised by dxi.
-
-    Same contract as one gadget of the quadratic settle: returns nonnegative
-    increments (Delta x_a, Delta x_b), bumps member residuals by the induced
-    nonnegative amounts, and enqueues members pushed above the violation
-    threshold. The settled pair's residuals are recomputed once; a pair that
-    misses the bound of `_settle_bound` raises RuntimeError rather than
-    being stored.
+def settle(h: Hypergraph, state, cfg: DiffusionConfig, i: int, dxi: float, adjacent,
+           on_event=None):
+    """quadratic.settle's contract at p < 2: settle every gadget incident to
+    i, fed by the push's scan (adjacent), skipping pairs the push left
+    inactive. A pair over its tolerance is moved by `_settle_pair` and
+    recomputed once; one that misses the bound of `_settle_bound` raises
+    RuntimeError rather than being stored. Member values are gathered once
+    per edge, as a settle writes only auxiliary values.
     """
     x = state.x
-    a, b = aux_ids(h, j)
-    c = h.c_of[j]
-    wab = h.wab_of[j]
     q = cfg.p - 1.0
-    members = h.members_of[j]
-    state.touched_gadgets.add(j)
-    xa0 = x.get(a, 0.0)
-    xb0 = x.get(b, 0.0)
-    xi_new = x.get(i, 0.0)
-    if xi_new <= xa0 and xb0 <= xi_new - dxi:
-        return 0.0, 0.0
-
-    xa, xb = xa0, xb0
-    member_x = [(v, x.get(v, 0.0)) for v in members]
-    tol = 1e-9 * (1.0 + wab + c * len(members))
-    ra, rb = _pair_residuals(member_x, c, wab, q, xa, xb)
-    if ra > tol or rb > tol:
-        xa, xb = _settle_pair(member_x, c, wab, q, xa0, xb0, tol, state)
+    thresh = 1.0 + VIOLATION_GUARD
+    xi = x[i]
+    xi_old = xi - dxi
+    gadgets = h.incident_gadgets[i]
+    last = None
+    state.touched_gadgets.update(gadgets)
+    for j, (c, xa0, xb0) in zip(gadgets, adjacent):
+        if xi <= xa0 and xb0 <= xi_old:
+            if on_event is not None:
+                on_event("auxpush", {"gadget": j, "node": i, "da": 0.0, "db": 0.0})
+            continue
+        wab = h.wab_of[j]
+        members = h.members_of[j]
+        if members is not last:
+            last = members
+            member_x = [(v, x.get(v, 0.0)) for v in members]
+        xa, xb = xa0, xb0
+        tol = 1e-9 * (1.0 + wab + c * len(members))
         ra, rb = _pair_residuals(member_x, c, wab, q, xa, xb)
-        err = max(abs(ra), abs(rb))
-        if err > 10 * tol:
-            xmax = max(xv for _, xv in member_x)
-            if err > _settle_bound(tol, wab, c, q, max(xmax, xa)):
+        if ra > tol or rb > tol:
+            xa, xb = _settle_pair(member_x, c, wab, q, xa0, xb0, tol, state)
+            ra, rb = _pair_residuals(member_x, c, wab, q, xa, xb)
+            err = max(abs(ra), abs(rb))
+            if err > 10 * tol and err > _settle_bound(
+                    tol, wab, c, q, max(max(xv for _, xv in member_x), xa)):
                 raise RuntimeError(
-                    f"p-norm auxpush on gadget {j} did not settle "
-                    f"(residual {err:.3g})")
+                    f"p-norm auxpush on gadget {j} did not settle (residual {err:.3g})")
 
-    if xa > 0:
-        x[a] = xa
-    if xb > 0:
-        x[b] = xb
-    da_total = xa - xa0
-    db_total = xb - xb0
-    if da_total > 0 or db_total > 0:
-        gamma = cfg.gamma
-        thresh = 1.0 + VIOLATION_GUARD
-        for v, xv in member_x:
-            bump = 0.0
-            if xv > xa0:
-                bump += c * ((xv - xa0) ** q - _gap(xv - xa, q))
-            if xb > xv:
-                bump += c * ((xb - xv) ** q - _gap(xb0 - xv, q))
-            if bump > 0.0:
-                rv = state.r.get(v, 0.0) + bump / gamma
-                state.r[v] = rv
-                if v not in state.in_queue and rv > cfg.kappa * h.degree_of[v] * thresh:
-                    state.queue.append(v)
-                    state.in_queue.add(v)
-    state.aux_pushes += 1
-    return da_total, db_total
-
-
-def _settle(h, state, cfg, i, dxi, adjacent, on_event):
-    """The settle kernel of _drive: pnorm_auxpush on each gadget incident to i."""
-    for j in h.incident_gadgets[i]:
-        da, db = pnorm_auxpush(h, state, cfg, j, i, dxi)
+        a = h.num_nodes + 2 * j
+        if xa > 0:
+            x[a] = xa
+        if xb > 0:
+            x[a + 1] = xb
+        da = xa - xa0
+        db = xb - xb0
+        if da > 0 or db > 0:
+            for v, xv in member_x:
+                bump = 0.0
+                if xv > xa0:
+                    bump += c * ((xv - xa0) ** q - _gap(xv - xa, q))
+                if xb > xv:
+                    bump += c * ((xb - xv) ** q - _gap(xb0 - xv, q))
+                if bump > 0.0:
+                    rv = state.r.get(v, 0.0) + bump / cfg.gamma
+                    state.r[v] = rv
+                    if v not in state.in_queue and rv > cfg.kappa * h.degree_of[v] * thresh:
+                        state.queue.append(v)
+                        state.in_queue.add(v)
+        state.aux_pushes += 1
         if on_event is not None:
             on_event("auxpush", {"gadget": j, "node": i, "da": da, "db": db})
 
@@ -360,4 +354,4 @@ def pnorm_solve(h: Hypergraph, seeds, cfg: DiffusionConfig, on_event=None) -> So
     """
     if cfg.p == 2.0:
         return solve(h, seeds, cfg, on_event)
-    return _drive(h, seeds, cfg, _scan, _push, _settle, on_event)
+    return _drive(h, seeds, cfg, _scan, _push, settle, on_event)

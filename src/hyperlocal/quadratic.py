@@ -10,13 +10,13 @@ gadgets' other members. Everything is O(size of the touched region); the
 full graph is never materialized.
 
 `_drive` is the push loop of both solvers; each solver hands it three
-kernels (scan, push, settle). The p = 2 `settle` settles every gadget
-incident to the pushed node in one pass: the state's containers, gamma and
-kappa are read once per pass, a gadget's (w_ab, members, tol, round cap)
-come from one memoized record (h.settle_of), members' values are gathered
-once per edge, and c, x_a and x_b come from the push's own scan. The
-per-gadget loop it replaced is kept in the tests as the bit-for-bit
-reference.
+kernels (scan, push, settle). Both settles (`settle` here, `pnorm.settle`
+at p < 2) settle every gadget incident to the pushed node in one pass, with
+c, x_a and x_b from the push's own scan and members' values gathered once
+per edge. The p = 2 one also reads the state's containers, gamma and kappa
+once per pass and takes a gadget's (w_ab, members, tol, round cap) from one
+memoized record (h.settle_of). The per-gadget loop it replaced is kept in
+the tests as the bit-for-bit reference.
 
 Work counters on DiffusionState: pushes, aux_pushes (settles that ran the
 pair solve), walk_pushes (pushes that walked the residual's breakpoints
@@ -90,11 +90,6 @@ class SolveResult:
     pushes: int
     sum_pushed_degree: float
     seed_volume: float
-
-
-def aux_ids(h: Hypergraph, j: int):
-    a = h.num_nodes + 2 * j
-    return a, a + 1
 
 
 def init_state(h: Hypergraph, seeds, cfg: DiffusionConfig) -> DiffusionState:
@@ -395,8 +390,8 @@ def solve(h: Hypergraph, seeds, cfg: DiffusionConfig, on_event=None) -> SolveRes
     return _drive(h, seeds, cfg, _scan_node, _apply_hyperpush, settle, on_event)
 
 
-def ledger_bound(cfg: DiffusionConfig, seed_volume: float, delta_max: float, p: float = 2.0) -> float:
-    """Bound on the pushed-degree ledger sum for a converged run.
+def ledger_bound(cfg: DiffusionConfig, seed_volume: float, delta_max: float) -> float:
+    """Bound on the pushed-degree ledger sum for a converged run at cfg.p.
 
     Returns (gk + delta_max) vol(R) / (gk (1 - rho)) at p = 2, gk =
     gamma*kappa, and ((gk + delta_max) / (gk (1 - rho)))**q vol(R) / (p - 1)
@@ -412,16 +407,17 @@ def ledger_bound(cfg: DiffusionConfig, seed_volume: float, delta_max: float, p: 
     sum d_i <= (1 + gamma) vol(R) / (gk (1 - rho)), which implies the
     returned value only when delta_max >= 1 + gamma (1 - kappa). Below that
     the returned form is unproved here; no run has exceeded it (largest
-    ratio 1/3 over 1600 delta = 1 solves with gamma in {0.1, 1, 5, 20} and
-    kappa in {0.1, 0.01}). The p < 2 form is not derived in this module.
+    ratio 0.99990 over 58 200 delta = 1 solves with gamma 0.1-1e6, rho
+    1e-4-0.99 and kappa 0.01-0.99, the ledger-bound search in ROADMAP.md's
+    Baseline). The p < 2 form is not derived in this module.
     Near p = 1 its q-th powers leave the float range; the bound is then
     math.inf.
     """
     gk = cfg.gamma * cfg.kappa
-    if p == 2.0:
+    if cfg.p == 2.0:
         return (gk + delta_max) * seed_volume / (gk * (1 - cfg.rho))
-    q = 1.0 / (p - 1.0)
+    q = 1.0 / (cfg.p - 1.0)
     try:
-        return (gk + delta_max) ** q * seed_volume / ((p - 1.0) * (gk * (1 - cfg.rho)) ** q)
+        return (gk + delta_max) ** q * seed_volume / ((cfg.p - 1.0) * (gk * (1 - cfg.rho)) ** q)
     except (OverflowError, ZeroDivisionError):
         return math.inf

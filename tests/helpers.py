@@ -166,7 +166,11 @@ def bisection_push(h, state, cfg, i, ri, di, adjacent, caches):
 
 
 def bisection_settle_pair(member_x, c, wab, q, xa0, xb0, tol):
-    """Reference gadget-pair settle: 80 halvings of [x_min, x_max] on x_a."""
+    """Reference gadget-pair settle: 80 halvings of [x_min, x_max] on x_a,
+    with x_b composed from the a-side equation. When that pair misses the
+    bound 10*tol + 2*(w_ab + c)*ulp(x_top)^q, x_a is kept and x_b alone is
+    bisected on the b-side equation over [x_min, x_a]: near a member value
+    the q-power turns the composed x_b's rounding into residual error."""
     xs = sorted(xv for _, xv in member_x)
     xmin = xs[0]
     xmax = xs[-1]
@@ -205,7 +209,31 @@ def bisection_settle_pair(member_x, c, wab, q, xa0, xb0, tol):
             lo = mid
     xa = 0.5 * (lo + hi)
     xb, _ = pair_at(xa)
-    return max(xa, xa0), max(min(xb, xa), xb0)
+    xa, xb = max(xa, xa0), max(min(xb, xa), xb0)
+
+    def b_side(u):
+        f = wab * (xa - u) ** q
+        for xv in xs:
+            if xv >= u:
+                break
+            f -= c * (u - xv) ** q
+        return f
+
+    ra = -wab * (xa - xb) ** q if xa > xb else 0.0
+    ra += sum(c * (xv - xa) ** q for xv in xs if xv > xa)
+    if max(abs(ra), abs(b_side(xb))) <= 10 * tol + 2 * (wab + c) * math.ulp(max(xmax, xa)) ** q:
+        return xa, xb
+    lo, hi = xmin, xa  # b_side falls strictly from b_side(x_min) >= 0 to b_side(x_a) <= 0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if b_side(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    xb = lo if abs(b_side(lo)) <= abs(b_side(hi)) else hi
+    return xa, max(xb, xb0)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from hyperlocal.oracles import (
 )
 from hyperlocal import pnorm
 from hyperlocal.pnorm import pnorm_solve
-from hyperlocal.quadratic import DiffusionConfig, _drive, aux_ids, ledger_bound, solve
+from hyperlocal.quadratic import DiffusionConfig, _drive, ledger_bound, solve
 from hyperlocal.sweep import prf1, sweepcut
 from hyperlocal.synth import planted_hypergraph, sample_seeds
 
@@ -82,15 +82,17 @@ def test_push_ledger_bound_exact(generated_suite):
     for h, seeds, cfg, _ in runs:
         cfg14 = DiffusionConfig(gamma=cfg.gamma, kappa=cfg.kappa, rho=cfg.rho, p=1.4)
         res = pnorm_solve(h, seeds, cfg14)
-        bound = ledger_bound(cfg14, res.seed_volume, delta_max(h), p=1.4)
+        bound = ledger_bound(cfg14, res.seed_volume, delta_max(h))
         assert res.sum_pushed_degree <= bound
 
 
 def test_reference_solution_dominates_push_solution():
-    """An independently derived coordinate-descent reference never beats the
-    push solver's objective by more than 1e-12 relative, and the reference
-    itself passes first-order optimality at 1e-8 including complementary
-    slackness."""
+    """An independently derived coordinate-descent reference reaches an
+    objective no higher than the push solver's, up to 1e-12 relative, and
+    the reference itself passes first-order optimality at 1e-8 including
+    complementary slackness. The push solution's objective sits 1.1e-5 to
+    2.8e-3 relative above the reference's on these 30 instances: a push
+    stops at rho*kappa*d_i, short of the optimum's kappa*d_i."""
     for k in range(30):
         h = random_instance(3000 + k, max_n=30, max_m=40, max_size=6)
         seeds = random_seeds(h, 3000 + k)
@@ -143,7 +145,7 @@ def test_general_p_solver_matches_quadratic_at_p2():
         kappa = 0.1 if k % 2 == 0 else 0.01
         cfg = DiffusionConfig(gamma=0.1, kappa=kappa, rho=0.5, p=2.0)
         a = solve(h, seeds, cfg)
-        b = _drive(h, seeds, cfg, pnorm._scan, pnorm._push, pnorm._settle)
+        b = _drive(h, seeds, cfg, pnorm._scan, pnorm._push, pnorm.settle)
         tol = 1e-4
         keys = set(a.state.x) | set(b.state.x)
         worst = max(abs(a.state.x.get(i, 0.0) - b.state.x.get(i, 0.0)) for i in keys)
@@ -274,9 +276,9 @@ def test_invariant_replay_at_every_push():
             if kind == "hyperpush":
                 full[payload["node"]] += payload["dx"]
             else:
-                a, b = aux_ids(h, payload["gadget"])
+                a = n + 2 * payload["gadget"]
                 full[a] += payload["da"]
-                full[b] += payload["db"]
+                full[a + 1] += payload["db"]
             g_node, aux_r = _residuals_from_vector(h, seeds_set, cfg, full)
             mass = float(g_node.sum()) + float(aux_r.sum()) / cfg.gamma
             if kind == "hyperpush":

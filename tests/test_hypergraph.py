@@ -46,7 +46,6 @@ def test_parse_basic_degrees():
     assert len(h.hyperedges) == 2
     assert list(h.degrees) == [1.0, 2.0, 2.0, 1.0]
     assert h.total_volume == 6.0
-    assert h.max_edge_size == 3
 
 
 def test_parse_min_dominates_large_delta():
@@ -244,7 +243,7 @@ def assert_same_as_reference(h, ref):
     assert h.degrees.tobytes() == ref.degrees.tobytes()
     assert h.total_volume == ref.total_volume
     assert h.gadget_edge.tolist() == ref.gadget_edge
-    for name in ("gadget_c", "gadget_wab", "gadget_delta"):
+    for name in ("gadget_c", "gadget_delta"):
         assert getattr(h, name).tobytes() == np.array(getattr(ref, name), dtype=float).tobytes()
     assert [list(h.incident_gadgets[v]) for v in range(n)] == ref.incident_gadgets
     assert [h.members_of[j] for j in range(h.num_gadgets)] == \

@@ -23,17 +23,15 @@ from hyperlocal.pnorm import (
     _push,
     _residual_at,
     _scan,
-    _settle,
     _settle_pair,
-    pnorm_auxpush,
     pnorm_solve,
+    settle,
 )
 from hyperlocal.quadratic import (
     DiffusionConfig,
     DiffusionState,
     _drive,
     _scan_node,
-    aux_ids,
     ledger_bound,
     solve,
 )
@@ -109,7 +107,7 @@ def test_general_kernel_agrees_with_closed_form_at_p_two(seed):
     h = random_instance(seed, max_n=10, max_m=12, max_size=4)
     seeds = random_seeds(h, seed)
     c = cfg(kappa=0.1, p=2.0)
-    gen = _drive(h, seeds, c, _scan, _push, _settle)
+    gen = _drive(h, seeds, c, _scan, _push, settle)
     closed = solve(h, seeds, c)
     tol = 1e-4
     keys = set(gen.x) | set(closed.x)
@@ -168,9 +166,9 @@ def test_solve_postconditions_random(seed):
     for k, v in st1.x.items():
         assert -1e-12 <= v <= 1 + 1e-12
     for j in range(h.num_gadgets):
-        a, b = aux_ids(h, j)
-        assert st1.x.get(a, 0.0) >= st1.x.get(b, 0.0) - 1e-12
-    assert res.sum_pushed_degree <= ledger_bound(c, res.seed_volume, delta_max(h), p=c.p)
+        a = h.num_nodes + 2 * j
+        assert st1.x.get(a, 0.0) >= st1.x.get(a + 1, 0.0) - 1e-12
+    assert res.sum_pushed_degree <= ledger_bound(c, res.seed_volume, delta_max(h))
 
 
 @pytest.mark.parametrize("p", [1.01, 1.05])
@@ -226,9 +224,8 @@ def test_mass_identity_generalizes():
 def test_pnorm_ledger_bound_exceeds_quadratic_scale():
     # Sanity on the exponent: for p < 2 the bound blows up as kappa shrinks
     # much faster than the quadratic one.
-    c_small = cfg(kappa=0.001)
-    b14 = ledger_bound(c_small, 1.0, 1.0, p=1.4)
-    b20 = ledger_bound(c_small, 1.0, 1.0, p=2.0)
+    b14 = ledger_bound(cfg(kappa=0.001, p=1.4), 1.0, 1.0)
+    b20 = ledger_bound(cfg(kappa=0.001, p=2.0), 1.0, 1.0)
     assert b14 > b20 > 0
 
 
@@ -236,19 +233,29 @@ def test_pnorm_ledger_bound_out_of_float_range_is_inf():
     # At p = 1.01 the 100th power of gk*(1 - rho) = 5e-4 underflows to 0,
     # and that of gk + delta_max overflows once delta_max is 1e4.
     c = cfg(kappa=0.01, p=1.01)
-    assert ledger_bound(c, 1.0, 1.0, p=1.01) == math.inf
-    assert ledger_bound(c, 1.0, 1e4, p=1.01) == math.inf
+    assert ledger_bound(c, 1.0, 1.0) == math.inf
+    assert ledger_bound(c, 1.0, 1e4) == math.inf
 
 
 # ---------------------------------------------------------------------------
 # Auxiliary settling
 
 
+def settle_node(h, state, c, i, dxi):
+    """settle on i's gadgets after x_i rose by dxi, handed the scan a push
+    would hand it; returns the (da, db) of each "auxpush" event."""
+    moves = []
+    settle(h, state, c, i, dxi, _scan(h, state, c, i)[1],
+           lambda kind, p: moves.append((p["da"], p["db"])))
+    return moves
+
+
 def test_auxpush_restores_zero_residuals():
     c = cfg(p=1.4)
     st0 = state_with(EDGE, [0], {0: 0.11})
-    da, db = pnorm_auxpush(EDGE, st0, c, 0, i=0, dxi=0.11)
+    [(da, db)] = settle_node(EDGE, st0, c, 0, 0.11)
     assert da > 0 and db > 0
+    assert st0.aux_pushes == 1
     ra, rb = fresh_residuals(EDGE, st0, c)[1][0]
     scale = 1e-9 * (1.0 + 1.0 + 1.0 * 2)
     assert abs(ra) <= 10 * scale and abs(rb) <= 10 * scale
@@ -258,7 +265,9 @@ def test_auxpush_restores_zero_residuals():
 def test_auxpush_trivial_exit():
     c = cfg(p=1.4)
     st0 = state_with(EDGE, [0], {0: 0.5, 2: 0.6})
-    assert pnorm_auxpush(EDGE, st0, c, 0, i=0, dxi=0.2) == (0.0, 0.0)
+    assert settle_node(EDGE, st0, c, 0, 0.2) == [(0.0, 0.0)]
+    assert st0.aux_pushes == 0
+    assert st0.touched_gadgets == {0}
 
 
 def test_auxpush_survives_tiny_gap():
@@ -267,7 +276,7 @@ def test_auxpush_survives_tiny_gap():
     # the two coordinates arbitrarily stiff; the push must still settle.
     c = cfg(p=1.36)
     st0 = state_with(EDGE, [0], {0: 1e-9})
-    pnorm_auxpush(EDGE, st0, c, 0, i=0, dxi=1e-9)
+    settle_node(EDGE, st0, c, 0, 1e-9)
     ra, rb = fresh_residuals(EDGE, st0, c)[1][0]
     assert abs(ra) <= 1e-7 and abs(rb) <= 1e-7
 
@@ -289,13 +298,13 @@ def test_settle_pair_direct():
 
 
 def test_member_bumps_match_recomputation():
-    # After an auxpush, incrementally bumped member residuals must equal the
+    # After a settle, incrementally bumped member residuals must equal the
     # fresh recomputation (the drive loop relies on this to enqueue).
     h = parse_hypergraph("3 1\n1 2 3\n")
     c = cfg(p=1.4)
     st0 = state_with(h, [0], {0: 0.2, 1: 0.05})
     st0.r[1], st0.r[2] = fresh_residuals(h, st0, c)[0][1:]
-    pnorm_auxpush(h, st0, c, 0, i=0, dxi=0.2)
+    settle_node(h, st0, c, 0, 0.2)
     g = fresh_residuals(h, st0, c)[0]
     assert st0.r[1] == pytest.approx(g[1], abs=1e-7)
     assert st0.r[2] == pytest.approx(g[2], abs=1e-7)
@@ -437,11 +446,15 @@ def _pair_error(xs, c, wab, q, xa, xb):
 def test_settle_pair_meets_auxpush_bound(q):
     """On 80 member sets per q (320 in all) the Newton settle, like the
     reference bisection, meets the residual bound 10*tol + 2*floor that
-    pnorm_auxpush checks before it stores the pair. The start
+    settle checks before it stores the pair. The start
     is the previous root with one member lowered, as after a push, or
-    (0, 0) for a fresh gadget."""
+    (0, 0) for a fresh gadget. Then 50 near-lattice sets per q, members
+    k*s (k = 0..3, s = 6.6e-5) each within 1e-6 relative, w_ab = c = 1,
+    from (0, 0): before the reference bisected x_b alone, its composed x_b
+    missed the bound on such sets at q = 0.3 and 0.4."""
     rng = random.Random(f"settle/{q}")
     near_ties = 0
+    cases = []
     for _ in range(80):
         xs = _members(rng)
         c = rng.choice([1.0, 0.5, 2.0])
@@ -454,6 +467,11 @@ def test_settle_pair_meets_auxpush_bound(q):
             before[k] *= rng.random()
             xa0, xb0 = bisection_settle_pair(list(enumerate(before)), c, wab, q, 0.0, 0.0, tol)
         near_ties += any(0.0 < abs(u - v) <= 1e-10 for u in xs for v in xs)
+        cases.append((xs, c, wab, tol, xa0, xb0))
+    for _ in range(50):
+        xs = [k * 6.6e-5 * (1.0 + rng.uniform(-1e-6, 1e-6)) for k in range(4)]
+        cases.append((xs, 1.0, 1.0, 6e-9, 0.0, 0.0))
+    for xs, c, wab, tol, xa0, xb0 in cases:
         member_x = list(enumerate(xs))
         for settle in (_settle_pair, bisection_settle_pair):
             xa, xb = settle(member_x, c, wab, q, xa0, xb0, tol)
@@ -563,9 +581,8 @@ def test_settle_pair_meets_bound_on_clustered_members(q):
     """Seeded search, 300 member sets per (q, family), 1800 in all: no
     settle misses the auxpush bound. Without the x_b stage the Newton pair
     misses on 7 of the lattice sets and on none of the clustered ones. The start is the settled root of the set with one
-    member lowered, as in a solve, or (0, 0). (The reference bisection
-    misses on lattice sets too, and a start pair whose x_b sits above the
-    root leaves no pair at or above it within the bound.)"""
+    member lowered, as in a solve, or (0, 0). (A start pair whose x_b sits
+    above the root leaves no pair at or above it within the bound.)"""
     for lattice in (False, True):
         rng = random.Random(f"clustered/{q}/{lattice}")
         for _ in range(300):

@@ -24,7 +24,6 @@ from hyperlocal.quadratic import (
     _apply_hyperpush,
     _scan_node,
     _solve_push_amount,
-    aux_ids,
     init_state,
     ledger_bound,
     settle,
@@ -201,10 +200,11 @@ def test_push_residual_lands_on_target_across_breakpoints():
     # breakpoint walk through multiple pieces.
     h = Hypergraph(3, [(0, 1), (0, 2), (0, 1, 2)])
     c = cfg(kappa=0.1, gamma=0.2, rho=0.3)
+    n = h.num_nodes  # gadget j's pair is n + 2j, n + 2j + 1
     st0 = state_with(h, [0], {
-        aux_ids(h, 0)[0]: 0.02, aux_ids(h, 0)[1]: 0.01,
-        aux_ids(h, 1)[0]: 0.10, aux_ids(h, 1)[1]: 0.04,
-        aux_ids(h, 2)[0]: 0.30, aux_ids(h, 2)[1]: 0.25,
+        n: 0.02, n + 1: 0.01,
+        n + 2: 0.10, n + 3: 0.04,
+        n + 4: 0.30, n + 5: 0.25,
     })
     dx = push(h, st0, c, 0)
     assert dx > 0
@@ -216,9 +216,10 @@ def test_solve_push_amount_matches_bisection():
     # recomputed residual.
     h = Hypergraph(3, [(0, 1), (0, 2), (0, 1, 2)])
     c = cfg(kappa=0.05, gamma=0.15, rho=0.4)
+    n = h.num_nodes  # gadget j's pair is n + 2j, n + 2j + 1
     st0 = state_with(h, [0], {
-        aux_ids(h, 0)[0]: 0.07, aux_ids(h, 0)[1]: 0.03,
-        aux_ids(h, 2)[0]: 0.11, aux_ids(h, 2)[1]: 0.02,
+        n: 0.07, n + 1: 0.03,
+        n + 4: 0.11, n + 5: 0.02,
     })
     ri, adjacent, caches = _scan_node(h, st0, c, 0)
     di = h.degrees[0]
@@ -296,8 +297,8 @@ def test_auxpush_respects_member_breakpoints():
     settle_node(h, st0, c, 0, math.inf)
     ra, rb = fresh_residuals(h, st0, c)[1][0]
     assert abs(ra) <= 1e-9 and abs(rb) <= 1e-9
-    a, b = aux_ids(h, 0)
-    assert st0.x[a] >= st0.x[b] - 1e-12
+    a = h.num_nodes
+    assert st0.x[a] >= st0.x[a + 1] - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +463,8 @@ def test_ledger_bound_formulas():
     assert ledger_bound(c, 6.0, 1.0) == pytest.approx((gk + 1.0) * 6.0 / (gk * 0.5))
     q = 1.0 / 0.4
     expect = (gk + 2.0) ** q * 6.0 / (0.4 * (gk * 0.5) ** q)
-    assert ledger_bound(c, 6.0, 2.0, p=1.4) == pytest.approx(expect)
+    c14 = cfg(kappa=0.1, gamma=0.1, rho=0.5, p=1.4)
+    assert ledger_bound(c14, 6.0, 2.0) == pytest.approx(expect)
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +507,11 @@ def test_event_stream_replays_every_push_from_shadow_state(seed):
             drop = h.degrees[i] * payload["dx"]
             assert before - after == pytest.approx(drop, abs=1e-9 * (1 + vol))
         else:
-            a, b = aux_ids(h, payload["gadget"])
+            a = h.num_nodes + 2 * payload["gadget"]
             assert payload["da"] >= 0.0 and payload["db"] >= 0.0
             before = _aggregate(h, seeds_set, c, shadow)
             shadow[a] = shadow.get(a, 0.0) + payload["da"]
-            shadow[b] = shadow.get(b, 0.0) + payload["db"]
+            shadow[a + 1] = shadow.get(a + 1, 0.0) + payload["db"]
             after = _aggregate(h, seeds_set, c, shadow)
             assert after == pytest.approx(before, abs=1e-9 * (1 + vol))
 
@@ -560,6 +562,6 @@ def test_solve_postconditions_random(seed, kappa):
     for k, v in st1.x.items():
         assert -1e-12 <= v <= 1 + 1e-12
     for j in range(h.num_gadgets):
-        a, b = aux_ids(h, j)
-        assert st1.x.get(a, 0.0) >= st1.x.get(b, 0.0) - 1e-12
+        a = h.num_nodes + 2 * j
+        assert st1.x.get(a, 0.0) >= st1.x.get(a + 1, 0.0) - 1e-12
     assert res.sum_pushed_degree <= ledger_bound(c, res.seed_volume, delta_max(h))

@@ -255,7 +255,7 @@ class _Untouchable:
 
 
 _ARRAYS = ("edge_offsets", "edge_members", "gadget_edge", "gadget_c", "gadget_delta",
-           "gadget_wab", "incidence_offsets", "incidence", "degrees")
+           "incidence_offsets", "incidence", "degrees")
 _VIEWS = ("incident_gadgets", "degree_of", "members_of", "edge_of", "c_of", "wab_of",
           "delta_of", "settle_of")
 
