@@ -176,10 +176,11 @@ class Hypergraph:
     list) are read-only list views. The solvers and the sweep read the
     memoized views `incident_gadgets[v]`, `degree_of[v]`, `members_of[j]`,
     `edge_of[j]`, `c_of[j]`, `wab_of[j]` (c * delta, formed on first read)
-    and `delta_of[j]`, which hold Python values for the keys read so far. `settle_of[j]` is the record the
-    p = 2 pair settle reads per gadget, (wab, members, tol, round cap): one
-    lookup in place of four, filled through the views above (c comes with
-    the settle's x_a and x_b from the push's scan).
+    and `delta_of[j]`, which hold Python values for the keys read so far.
+    `settle_of[j]` is the record the p = 2 pair settle reads per gadget,
+    (wab, members, tol, round cap): one lookup in place of four, filled
+    through the views above (c comes with the settle's x_a and x_b from the
+    push's scan).
 
     `hyperedges` and `gadgets` may be lists, or the views of another
     Hypergraph (or of `_parse_edges` and `parse_gadget_lines`), whose arrays
