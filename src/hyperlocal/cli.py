@@ -269,6 +269,10 @@ def _cmd_sweep(args) -> int:
             raise _CliIOError(f"{args.x}:{ln}: bad row {line!r}") from None
         if not 1 <= v <= h.num_nodes:
             raise _CliIOError(f"{args.x}:{ln}: node id {v} out of range")
+        if not math.isfinite(val):
+            raise _CliIOError(f"{args.x}:{ln}: x of node {v} is not finite")
+        if v - 1 in x:
+            raise _CliIOError(f"{args.x}:{ln}: node id {v} repeated")
         x[v - 1] = val
     try:
         profile = sweepcut(h, x)

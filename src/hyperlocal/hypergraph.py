@@ -92,22 +92,18 @@ def _settle_record(c_of, wab_of, members_of, j):
     return wab, members, 1e-15 * (1.0 + wab + c * len(members)), 4 * len(members) + 8
 
 
-def _gadget_row(num_edges, edge, c, delta, params, k):
+def _gadget_row(num_edges, edge, c, delta, k):
     if not 0 <= k < num_edges:
         raise IndexError(f"row {k} out of range [0, {num_edges})")
     # Keys of edge's own dtype: mixed dtypes would make searchsorted cast
     # (copy) the whole array on every call.
     lo, hi = np.searchsorted(edge, np.array((k, k + 1), dtype=edge.dtype)).tolist()
-    return list(map(params.__getitem__, zip(c[lo:hi].tolist(), delta[lo:hi].tolist())))
-
-
-def _gadget_params(c_delta):
-    return GadgetParams(*c_delta)
+    return list(map(GadgetParams, c[lo:hi].tolist(), delta[lo:hi].tolist()))
 
 
 class _Rows(Sequence):
-    """Read-only list over a LazyView (`memo`): len, indexing, iteration
-    (which converts rows without memoizing them) and == with lists."""
+    """Read-only list over a LazyView (`memo`): len, indexing and iteration
+    (which converts rows without memoizing them)."""
 
     def __init__(self, count, convert):
         self.memo = LazyView(convert)
@@ -126,11 +122,6 @@ class _Rows(Sequence):
     def __iter__(self):
         return map(self.memo._convert, range(self._count))
 
-    def __eq__(self, other):
-        if isinstance(other, (_Rows, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
 
 class EdgeRows(_Rows):
     """Hyperedges as tuples of node ids, over validated CSR arrays: offsets
@@ -144,12 +135,11 @@ class EdgeRows(_Rows):
 
 class GadgetRows(_Rows):
     """Per-edge GadgetParams lists over edge-major per-gadget arrays: edge
-    (int32, ascending), c and delta (float64, validated). Equal-valued
-    gadgets read from one GadgetRows are one shared (frozen) GadgetParams."""
+    (int32, ascending), c and delta (float64, validated). Each row read
+    builds its own GadgetParams; `memo` keeps the rows read so far."""
 
     def __init__(self, num_edges, edge, c, delta):
-        params = LazyView(_gadget_params)
-        super().__init__(num_edges, partial(_gadget_row, num_edges, edge, c, delta, params))
+        super().__init__(num_edges, partial(_gadget_row, num_edges, edge, c, delta))
         self.edge = edge
         self.c = c
         self.delta = delta

@@ -19,34 +19,36 @@ BRUTE_NODE_CAP = 20
 GADGET_ENUM_CAP = 8
 REFERENCE_SIZE_CAP = 2000
 _CHUNK = 1 << 16
+_TIE = 1e-12  # relative width of the minimizers' band
 
 
-def _conductance_chunks(h: Hypergraph):
-    """Yield (mask offset, phi array) over all 2^n subset masks, chunked."""
-    n = h.num_nodes
-    total = h.total_volume
-    luts = []
-    for k, e in enumerate(h.hyperedges):
-        luts.append(np.array([h.edge_penalty(k, c) for c in range(len(e) + 1)]))
-    edge_idx = [np.array(e, dtype=np.int64) for e in h.hyperedges]
-    m_all = 1 << n
-    shifts = np.arange(n, dtype=np.uint32)
-    for lo in range(0, m_all, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, m_all), dtype=np.uint32)
+def _min_family(count, degrees, total, cut_of, n):
+    """(phi_min, set of all minimizing subsets) over the 2^count subsets of
+    `count` weighted coordinates, enumerated in chunks of bit rows. cut_of
+    maps a chunk's 0/1 membership rows to their cuts; a minimizer is
+    reported as the frozenset of its members below n."""
+    shifts = np.arange(count, dtype=np.uint32)
+    vmin = math.inf
+    chunks = []
+    for lo in range(0, 1 << count, _CHUNK):
+        idx = np.arange(lo, min(lo + _CHUNK, 1 << count), dtype=np.uint32)
         bits = ((idx[:, None] >> shifts) & 1).astype(np.int8)
-        vol = bits.astype(np.float64) @ h.degrees
-        cut = np.zeros(len(idx))
-        for k in range(len(h.hyperedges)):
-            inc = bits[:, edge_idx[k]].sum(axis=1)
-            cut += luts[k][inc]
+        vol = bits.astype(np.float64) @ degrees
         minside = np.minimum(vol, total - vol)
         with np.errstate(divide="ignore", invalid="ignore"):
-            phi = np.where(minside > 0, cut / np.where(minside > 0, minside, 1.0), np.inf)
-        yield lo, phi
-
-
-def _mask_to_tuple(mask: int, n: int):
-    return tuple(v for v in range(n) if (mask >> v) & 1)
+            phi = np.where(minside > 0, cut_of(bits) / np.where(minside > 0, minside, 1.0),
+                           np.inf)
+        chunks.append((lo, phi))
+        vmin = min(vmin, phi.min())
+    family = set()
+    if not math.isfinite(vmin):
+        return math.inf, family
+    cutoff = vmin + _TIE * max(1.0, abs(vmin))
+    for lo, phi in chunks:
+        for off in np.flatnonzero(phi <= cutoff):
+            mask = lo + int(off)
+            family.add(frozenset(v for v in range(n) if (mask >> v) & 1))
+    return float(vmin), family
 
 
 def brute_min_conductance(h: Hypergraph):
@@ -62,63 +64,41 @@ def brute_min_conductance(h: Hypergraph):
     return min(tuple(sorted(s)) for s in family), phi
 
 
-def min_conductance_family(h: Hypergraph, tol: float = 1e-12):
-    """(phi_min, set of all minimizing subsets as frozensets)."""
+def min_conductance_family(h: Hypergraph):
+    """(phi_min, set of all minimizing subsets as frozensets), minimizers
+    taken within a relative 1e-12 of phi_min."""
     n = h.num_nodes
     if n > BRUTE_NODE_CAP:
         raise ValueError(f"n={n} exceeds brute-force cap {BRUTE_NODE_CAP}")
-    chunks = list(_conductance_chunks(h))
-    vmin = min((phi.min() for _, phi in chunks if len(phi)), default=math.inf)
-    family = set()
-    if not math.isfinite(vmin):
-        return math.inf, family
-    cutoff = vmin + tol * max(1.0, abs(vmin))
-    for lo, phi in chunks:
-        for off in np.flatnonzero(phi <= cutoff):
-            mask = lo + int(off)
-            family.add(frozenset(_mask_to_tuple(mask, n)))
-    return float(vmin), family
+    luts = [np.array([h.edge_penalty(k, c) for c in range(len(e) + 1)])
+            for k, e in enumerate(h.hyperedges)]
+    edge_idx = [np.array(e, dtype=np.int64) for e in h.hyperedges]
+
+    def cut_of(bits):
+        cut = np.zeros(len(bits))
+        for lut, idx in zip(luts, edge_idx):
+            cut += lut[bits[:, idx].sum(axis=1)]
+        return cut
+
+    return _min_family(n, h.degrees, h.total_volume, cut_of, n)
 
 
-def reduced_min_conductance_family(h: Hypergraph, tol: float = 1e-12):
+def reduced_min_conductance_family(h: Hypergraph):
     """Minimum conductance over ALL subsets T of the reduced graph's nodes,
     using the reduced degree vector (auxiliaries weigh 0), reported as
     (phi_min, set of frozensets T & V). Exponential in n + 2*gadgets."""
     g = build_reduced_graph(h)
-    nn = g.node_count
-    if nn > 22:
-        raise ValueError(f"reduced node count {nn} too large to enumerate")
-    n = h.num_nodes
-    tails = np.array([a[0] for a in g.arcs], dtype=np.int64)
-    heads = np.array([a[1] for a in g.arcs], dtype=np.int64)
-    ws = np.array([a[2] for a in g.arcs])
-    total = float(g.degree_vector.sum())
-    vmin = math.inf
-    rows = []
-    shifts = np.arange(nn, dtype=np.uint32)
-    for lo in range(0, 1 << nn, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, 1 << nn), dtype=np.uint32)
-        bits = ((idx[:, None] >> shifts) & 1).astype(np.int8)
-        vol = bits.astype(np.float64) @ g.degree_vector
-        cut = np.zeros(len(idx))
-        for t, hd, w in zip(tails, heads, ws):
-            cut += w * (bits[:, t] * (1 - bits[:, hd]))
-        minside = np.minimum(vol, total - vol)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi = np.where(minside > 0, cut / np.where(minside > 0, minside, 1.0), np.inf)
-        rows.append((lo, phi))
-        pm = phi.min() if len(phi) else math.inf
-        if pm < vmin:
-            vmin = pm
-    family = set()
-    if not math.isfinite(vmin):
-        return math.inf, family
-    cutoff = vmin + tol * max(1.0, abs(vmin))
-    for lo, phi in rows:
-        for off in np.flatnonzero(phi <= cutoff):
-            mask = lo + int(off)
-            family.add(frozenset(v for v in range(n) if (mask >> v) & 1))
-    return float(vmin), family
+    if g.node_count > 22:
+        raise ValueError(f"reduced node count {g.node_count} too large to enumerate")
+
+    def cut_of(bits):
+        cut = np.zeros(len(bits))
+        for tail, head, w in g.arcs:
+            cut += w * (bits[:, tail] * (1 - bits[:, head]))
+        return cut
+
+    return _min_family(g.node_count, g.degree_vector, float(g.degree_vector.sum()), cut_of,
+                       h.num_nodes)
 
 
 def cut_preservation_check(h: Hypergraph, s):
@@ -195,7 +175,12 @@ def _coord_min_quad(x, outs, ins, lin):
             k += 1
 
 
-def _coord_min_pnorm(x, outs, ins, lin, p):
+def _coord_min(x, outs, ins, lin, p):
+    """argmin over t >= 0 of sum_out w(t-x_h)+^p/p + sum_in w(x_t-t)+^p/p
+    + lin*t: the exact walk at p = 2, 80 bisection steps on the derivative
+    otherwise."""
+    if p == 2.0:
+        return _coord_min_quad(x, outs, ins, lin)
     q = p - 1.0
 
     def deriv(t):
@@ -237,12 +222,8 @@ class KKTReport:
                    self.max_slackness, self.max_aux_residual,
                    self.max_box_violation)
 
-    def ok(self, tol: float, slackness: bool = True) -> bool:
-        worst = max(self.max_neg_residual, self.max_excess_residual,
-                    self.max_aux_residual, self.max_box_violation)
-        if slackness:
-            worst = max(worst, self.max_slackness)
-        return worst <= tol
+    def ok(self, tol: float) -> bool:
+        return self.max_violation <= tol
 
 
 def _residuals_from_vector(h: Hypergraph, seeds, cfg, x):
@@ -287,16 +268,10 @@ def _settle_gadget(h: Hypergraph, full, cfg, j: int) -> None:
     in place, until the pair stops moving."""
     a, b, outs_a, ins_a, outs_b, ins_b = _gadget_arc_lists(h, j, h.num_nodes)
     for _ in range(10000):
-        if cfg.p == 2.0:
-            na = _coord_min_quad(full, outs_a, ins_a, 0.0)
-        else:
-            na = _coord_min_pnorm(full, outs_a, ins_a, 0.0, cfg.p)
+        na = _coord_min(full, outs_a, ins_a, 0.0, cfg.p)
         moved = abs(na - full[a])
         full[a] = na
-        if cfg.p == 2.0:
-            nb = _coord_min_quad(full, outs_b, ins_b, 0.0)
-        else:
-            nb = _coord_min_pnorm(full, outs_b, ins_b, 0.0, cfg.p)
+        nb = _coord_min(full, outs_b, ins_b, 0.0, cfg.p)
         moved = max(moved, abs(nb - full[b]))
         full[b] = nb
         if moved < 1e-15:
@@ -445,10 +420,7 @@ def reference_qp_solver(h: Hypergraph, seeds, cfg, tol: float = 1e-10,
         for v in order:
             if not outs[v] and not ins[v]:
                 continue
-            if cfg.p == 2.0:
-                t = _coord_min_quad(x, outs[v], ins[v], lin[v])
-            else:
-                t = _coord_min_pnorm(x, outs[v], ins[v], lin[v], cfg.p)
+            t = _coord_min(x, outs[v], ins[v], lin[v], cfg.p)
             move = abs(t - x[v])
             x[v] = t
             if move > max_move:

@@ -20,7 +20,6 @@ class ReducedGraph:
     node_count: int
     num_original: int
     arcs: list = field(default_factory=list)          # (tail, head, weight)
-    aux_pairs: list = field(default_factory=list)     # (a_id, b_id) per gadget
     degree_vector: np.ndarray = None
     source_id: int | None = None
     sink_id: int | None = None
@@ -29,7 +28,6 @@ class ReducedGraph:
 def build_reduced_graph(h: Hypergraph) -> ReducedGraph:
     n = h.num_nodes
     arcs = []
-    aux_pairs = []
     for j in range(h.num_gadgets):
         a = n + 2 * j
         b = n + 2 * j + 1
@@ -40,12 +38,11 @@ def build_reduced_graph(h: Hypergraph) -> ReducedGraph:
         for v in members:
             arcs.append((b, v, c))
         arcs.append((a, b, h.wab_of[j]))
-        aux_pairs.append((a, b))
     node_count = n + 2 * h.num_gadgets
     deg = np.zeros(node_count)
     deg[:n] = h.degrees
     return ReducedGraph(node_count=node_count, num_original=n, arcs=arcs,
-                        aux_pairs=aux_pairs, degree_vector=deg)
+                        degree_vector=deg)
 
 
 def build_localized_cut_graph(g: ReducedGraph, seeds, gamma: float) -> ReducedGraph:
@@ -74,10 +71,4 @@ def build_localized_cut_graph(g: ReducedGraph, seeds, gamma: float) -> ReducedGr
     deg = np.zeros(g.node_count + 2)
     deg[:g.node_count] = g.degree_vector
     return ReducedGraph(node_count=g.node_count + 2, num_original=n, arcs=arcs,
-                        aux_pairs=list(g.aux_pairs), degree_vector=deg,
-                        source_id=s_id, sink_id=t_id)
-
-
-def directed_cut(g: ReducedGraph, s_side) -> float:
-    s_side = set(s_side)
-    return sum(w for (tail, head, w) in g.arcs if tail in s_side and head not in s_side)
+                        degree_vector=deg, source_id=s_id, sink_id=t_id)

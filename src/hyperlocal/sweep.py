@@ -15,9 +15,8 @@ class SweepProfile:
     order[i] is the node added at rank i (x descending, ties by ascending
     id); prefix_* hold the running volume, cut, and conductance after that
     addition. Prefixes whose min-side volume is zero carry conductance inf
-    and are skipped when selecting best_set (earliest minimum on ties).
-    boundary_delta_bar is the cardinality cap max over best_set's boundary
-    hyperedges of min(delta_e, |e|/2).
+    and are skipped when selecting best_set (earliest minimum on ties; empty
+    when no prefix has finite conductance).
     """
 
     order: list[int]
@@ -27,27 +26,24 @@ class SweepProfile:
     prefix_conductance: list[float]
     best_set: tuple[int, ...]
     best_conductance: float
-    boundary_delta_bar: float
 
 
-def sweepcut(h: Hypergraph, x) -> SweepProfile:
-    """Sweep the positive support of x from largest to smallest value.
+def sweepcut(h: Hypergraph, x: dict) -> SweepProfile:
+    """Sweep the positive support of x, a dict over node ids, from largest
+    to smallest value.
 
     The cut is maintained incrementally via per-hyperedge in-counts: each
     step raises the counts of the swept node's edges and re-prices only
-    those edges. The edges are read off the node's incident gadgets, so for
-    a dict x the sweep costs O(vol(support) + k log k) with k the support
-    size, independent of the hypergraph's size (a dense x adds one O(n)
-    pass to find its support). x may be a dict over node ids or a dense
-    array; entries beyond the original nodes (auxiliaries) are ignored and
-    a negative id in a dict raises ValueError.
+    those edges. The edges are read off the node's incident gadgets, so the
+    sweep costs O(vol(support) + k log k) with k the support size,
+    independent of the hypergraph's size. Entries beyond the original nodes
+    (auxiliaries) are ignored and a negative id raises ValueError. The
+    Cheeger-like constant of the best set is boundary_delta_bar(h,
+    profile.best_set), computed on request.
     """
-    if isinstance(x, dict):
-        if any(v < 0 for v in x):
-            raise ValueError("sweepcut got a negative node id")
-        items = [(v, val) for v, val in x.items() if v < h.num_nodes and val > 0]
-    else:
-        items = [(v, float(val)) for v, val in enumerate(x[: h.num_nodes]) if val > 0]
+    if any(v < 0 for v in x):
+        raise ValueError("sweepcut got a negative node id")
+    items = [(v, val) for v, val in x.items() if v < h.num_nodes and val > 0]
     if not items:
         raise ValueError("sweepcut needs at least one positive entry")
     items.sort(key=lambda t: (-t[1], t[0]))
@@ -92,16 +88,9 @@ def sweepcut(h: Hypergraph, x) -> SweepProfile:
             best_val = phi
             best_rank = len(order) - 1
 
-    if best_rank < 0:
-        best_set: tuple[int, ...] = ()
-        dbar = 0.0
-    else:
-        best_set = tuple(order[: best_rank + 1])
-        dbar = boundary_delta_bar(h, best_set)
     return SweepProfile(order=order, x_values=x_values, prefix_vol=vols,
                         prefix_cut=cuts, prefix_conductance=conds,
-                        best_set=best_set, best_conductance=best_val,
-                        boundary_delta_bar=dbar)
+                        best_set=tuple(order[: best_rank + 1]), best_conductance=best_val)
 
 
 def boundary_delta_bar(h: Hypergraph, s) -> float:

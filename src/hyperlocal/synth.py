@@ -8,7 +8,7 @@ to spell out in full) instead of the stdlib Mersenne machinery.
 
 from __future__ import annotations
 
-from .hypergraph import GadgetParams, Hypergraph
+from .hypergraph import GadgetParams, Hypergraph, _uniform_gadgets
 
 _MASK = (1 << 64) - 1
 
@@ -113,10 +113,7 @@ def planted_hypergraph(blocks, edges_per_block: int, edge_size_range,
                 members = rng.sample(home, size)
             edges.append(tuple(sorted(members)))
 
-    gadgets = None
-    if delta != 1.0:
-        gadgets = [(GadgetParams(1.0, delta),) for _ in edges]
-    return Hypergraph(total, edges, gadgets), labels
+    return Hypergraph(total, edges, _uniform_gadgets(len(edges), GadgetParams(1.0, delta))), labels
 
 
 def sample_seeds(labels, block: int, k: int, mode: str, rng_seed: int,

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 
+from hyperlocal import hypergraph
 from hyperlocal.hypergraph import GadgetParams, Hypergraph, HypergraphFormatError, splitting_penalty
 from hyperlocal.oracles import _residuals_from_vector
 from hyperlocal.pnorm import _PUSH_TOL, _residual_at, pnorm_solve
@@ -66,11 +67,9 @@ def fresh_residuals(h, state, cfg):
 
 
 def full_scan_sweepcut(h, x):
-    """Reference sweepcut that indexes every hyperedge of h on each call."""
-    if isinstance(x, dict):
-        items = [(v, val) for v, val in x.items() if v < h.num_nodes and val > 0]
-    else:
-        items = [(v, float(val)) for v, val in enumerate(x[: h.num_nodes]) if val > 0]
+    """Reference sweepcut of a dict x that indexes every hyperedge of h on
+    each call."""
+    items = [(v, val) for v, val in x.items() if v < h.num_nodes and val > 0]
     if not items:
         raise ValueError("sweepcut needs at least one positive entry")
     items.sort(key=lambda t: (-t[1], t[0]))
@@ -106,15 +105,9 @@ def full_scan_sweepcut(h, x):
             best_val = phi
             best_rank = len(order) - 1
 
-    if best_rank < 0:
-        best_set, dbar = (), 0.0
-    else:
-        best_set = tuple(order[: best_rank + 1])
-        dbar = full_scan_delta_bar(h, best_set)
     return SweepProfile(order=order, x_values=x_values, prefix_vol=vols,
                         prefix_cut=cuts, prefix_conductance=conds,
-                        best_set=best_set, best_conductance=best_val,
-                        boundary_delta_bar=dbar)
+                        best_set=tuple(order[: best_rank + 1]), best_conductance=best_val)
 
 
 def full_scan_delta_bar(h, s):
@@ -314,6 +307,42 @@ def reference_parse_gadget_lines(text, num_edges):
         raise HypergraphFormatError(
             f"gadget sidecar has {len(rows)} lines, hypergraph has {num_edges} hyperedges")
     return rows
+
+
+def second_piece_case(kind):
+    """(text, num_edges) of the parse-error corpus's recipe case of the given
+    kind ("hgr" or "sidecar"): about 1.2 MB of good lines whose one bad line
+    starts past the scan's first piece of _SCAN_CHUNK characters, built here
+    so that the corpus need not store it. num_edges is None for .hgr."""
+    chunk = hypergraph._SCAN_CHUNK
+    if kind == "hgr":
+        good = [f"{1 + k % 998} {2 + k % 998} {3 + k % 998}\n" for k in range(chunk // 10)]
+        bad = "5 x 7\n"
+    else:
+        good = ["1:2 0.5:3\n" if k % 2 else "2:1\n" for k in range(chunk // 6)]
+        bad = "1:2 1:0.5\n"
+    lines = good + [bad] + good[:100]
+    body = "".join(lines)
+    start = sum(map(len, good))
+    if kind == "hgr":
+        header = f"1000 {len(lines)}\n"
+        body, start = header + body, start + len(header)
+    assert chunk < start < 2 * chunk, (start, chunk)
+    return body, None if kind == "hgr" else len(lines)
+
+
+def corpus_text(kind, case):
+    """(text, num_edges) of one parse-error corpus case: stored, or built by
+    second_piece_case."""
+    if case.get("recipe"):
+        return second_piece_case(kind)
+    return case["text"], case.get("num_edges")
+
+
+def corpus_error(case):
+    """The error message a corpus case records: its line number, if any,
+    then its message."""
+    return case["message"] if case["line"] is None else f"line {case['line']}: {case['message']}"
 
 
 class ReferenceHypergraph:
@@ -539,11 +568,26 @@ class SolveDigest:
         return self._sha.hexdigest()
 
 
+def scaled_gadgets(h, k):
+    """h with every gadget's c multiplied by 2^k (exact in floating point)."""
+    return Hypergraph(h.num_nodes, h.hyperedges,
+                      [[GadgetParams(g.c * 2.0 ** k, g.delta) for g in gl] for gl in h.gadgets])
+
+
+def _scale_cases(p, ks):
+    """The 3-node hyperedge with one gadget, delta 1 and c = 2^k, seeded at
+    node 0 with kappa 0.01."""
+    for k in ks:
+        h = Hypergraph(3, [(0, 1, 2)], [[GadgetParams(2.0 ** k, 1.0)]])
+        yield f"scale-p{p:g}/{k}", h, [0], DiffusionConfig(kappa=0.01, p=p)
+
+
 def p2_digest_cases():
     """(name, h, seeds, cfg) of the corpus's p = 2 cases, built lazily:
     acceptance check 1's 100 instances at their kappa, uncapped and capped
     at 7 pushes; 40 instances with 1-3 gadgets per edge; five chain queries
-    at 100 blocks."""
+    at 100 blocks; the scale cases of the 3-node hyperedge at c = 2^k, and
+    check 1's first 10 instances with every c scaled by 2^20 and 2^-20."""
     for k in range(100):
         h = random_instance(1000 + k, max_n=50, max_m=100, max_size=8)
         seeds = random_seeds(h, 1000 + k)
@@ -558,13 +602,22 @@ def p2_digest_cases():
     for b in range(0, 100, 20):
         seeds = sample_seeds(labels, b, 5, "uniform", 99 + b, degrees=h.degrees)
         yield f"chain/{b}", h, seeds, DiffusionConfig(kappa=0.01)
+    yield from _scale_cases(2.0, (-60, -50, 0, 50, 60, 512))
+    for k in range(10):
+        h = random_instance(1000 + k, max_n=50, max_m=100, max_size=8)
+        seeds = random_seeds(h, 1000 + k)
+        kappa = 0.01 if k % 2 == 0 else 0.1
+        for shift in (20, -20):
+            yield (f"check1-scaled/{k}/2^{shift}", scaled_gadgets(h, shift), seeds,
+                   DiffusionConfig(kappa=kappa))
 
 
 def pnorm_digest_cases():
     """(name, h, seeds, cfg) of the corpus's p < 2 cases, built lazily: 12
     small one-gadget instances at p = 1.4, 10 multi-gadget ones at p = 1.4
-    and 1.7 capped at 400 pushes (the dearest takes 2 331 uncapped), and
-    three planted p = 1.4 fixtures at the benchmark's kappa = vol(R) / 3000."""
+    and 1.7 capped at 400 pushes (the dearest takes 2 331 uncapped), three
+    planted p = 1.4 fixtures at the benchmark's kappa = vol(R) / 3000, and
+    the scale cases of the 3-node hyperedge at c = 2^k, p = 1.4."""
     for k in range(12):
         h = random_instance(k, max_n=12, max_m=14, max_size=5)
         yield f"p1.4/{k}", h, random_seeds(h, k), DiffusionConfig(kappa=0.1, p=1.4)
@@ -578,6 +631,7 @@ def pnorm_digest_cases():
         seeds = sample_seeds(labels, 0, 5, "degree_proportional", fixture, degrees=h.degrees)
         kappa = sum(h.degree_of[v] for v in seeds) / 3000.0
         yield f"planted-p1.4/{fixture}", h, seeds, DiffusionConfig(kappa=kappa, p=1.4)
+    yield from _scale_cases(1.4, (-30, -20, 0, 20))
 
 
 def libm_tag():

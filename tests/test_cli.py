@@ -306,6 +306,22 @@ def test_sweep_to_file(tri_file, tmp_path):
     assert dest.read_text().startswith("rank,node,x,")
 
 
+@pytest.mark.parametrize("rows, line, message", [
+    ("1,0.5\n2,0.3\n1,0.1\n", 4, "node id 1 repeated"),
+    ("1,0.5\n2,nan\n", 3, "x of node 2 is not finite"),
+    ("1,0.5\n3,inf\n", 3, "x of node 3 is not finite"),
+    ("1,0.5\n3,-inf\n", 3, "x of node 3 is not finite"),
+])
+def test_sweep_rejects_repeated_or_nonfinite_rows(tri_file, tmp_path, capsys, rows, line, message):
+    """A node given twice, or an x that is not finite, is an input error
+    naming its line; the sweep would otherwise keep the last row, drop a nan
+    or rank an infinite x first."""
+    xcsv = tmp_path / "x.csv"
+    xcsv.write_text("node_id,x\n" + rows)
+    assert main(["sweep", "--graph", str(tri_file), "--x", str(xcsv)]) == 2
+    assert capsys.readouterr().err == f"hyperlocal: error: {xcsv}:{line}: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # eval
 

@@ -118,7 +118,7 @@ def test_cut_preservation_empty_and_full_sets():
 
 def test_kkt_zero_vector_large_kappa():
     rep = kkt_check(H44, [0], cfg(kappa=1.0), np.zeros(4))
-    assert rep.ok(1e-12, slackness=True)
+    assert rep.ok(1e-12)
 
 
 def test_cut_preservation_gadget_cap():
@@ -185,7 +185,7 @@ def test_reference_solver_satisfies_kkt_with_slackness():
     c = cfg(kappa=0.05, gamma=0.1)
     x = reference_qp_solver(H44, [0], c)
     rep = kkt_check(H44, [0], c, x)
-    assert rep.ok(1e-8, slackness=True), rep
+    assert rep.ok(1e-8), rep
 
 
 def test_reference_size_cap():
@@ -203,7 +203,7 @@ def test_reference_dominates_push_solution(seed):
     f_push = objective_value(h, seeds, c, res.state.x)
     f_ref = objective_value(h, seeds, c, x_ref)
     assert f_ref <= f_push + 1e-12 * max(1.0, abs(f_push))
-    assert kkt_check(h, seeds, c, x_ref).ok(1e-8, slackness=True)
+    assert kkt_check(h, seeds, c, x_ref).ok(1e-8)
 
 
 def test_push_solution_kkt_without_slackness():
@@ -214,7 +214,6 @@ def test_push_solution_kkt_without_slackness():
     assert rep.max_excess_residual <= 1e-9
     assert rep.max_aux_residual <= 1e-8
     assert rep.max_box_violation <= 1e-12
-    assert rep.ok(1e-8, slackness=False)
 
 
 # ---------------------------------------------------------------------------

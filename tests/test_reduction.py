@@ -3,11 +3,7 @@ import math
 import pytest
 
 from hyperlocal.hypergraph import GadgetParams, Hypergraph, cut_value, parse_hypergraph
-from hyperlocal.reduction import (
-    build_localized_cut_graph,
-    build_reduced_graph,
-    directed_cut,
-)
+from hyperlocal.reduction import build_localized_cut_graph, build_reduced_graph
 
 FOUR_TWO = "4 2\n1 2 3\n2 3 4\n"
 
@@ -17,7 +13,7 @@ def test_reduced_counts():
     g = build_reduced_graph(h)
     assert g.node_count == 8
     assert len(g.arcs) == 14
-    assert g.aux_pairs == [(4, 5), (6, 7)]
+    assert [arc for arc in g.arcs if arc[0] >= 4 and arc[1] >= 4] == [(4, 5, 1.0), (6, 7, 1.0)]
     assert list(g.degree_vector) == [1, 2, 2, 1, 0, 0, 0, 0]
 
 
@@ -66,23 +62,6 @@ def test_localized_errors():
         build_localized_cut_graph(lonely, {2}, 0.1)
 
 
-def test_directed_cut_examples():
-    h = Hypergraph(2, [(0, 1)])
-    g = build_reduced_graph(h)
-    a, b = 2, 3
-    assert directed_cut(g, set()) == 0.0
-    # a,b both on the source side: only b->v2 crosses
-    assert directed_cut(g, {0, a, b}) == 1.0
-    # neither auxiliary inside: v1->a crosses
-    assert directed_cut(g, {0}) == 1.0
-
-
-def test_directed_cut_tiny_graph():
-    g = build_reduced_graph(Hypergraph(2, []))
-    g.arcs.extend([(0, 1, 3.0), (1, 0, 1.0)])
-    assert directed_cut(g, {0}) == 3.0
-
-
 def test_volume_matches_through_reduction():
     h = parse_hypergraph(FOUR_TWO)
     g = build_reduced_graph(h)
@@ -106,12 +85,13 @@ def test_min_placement_reproduces_hypergraph_cut():
         for place in range(4 ** h.num_gadgets):
             t_set = set(s)
             code = place
-            for j, (a, b) in enumerate(g.aux_pairs):
+            for j in range(h.num_gadgets):
                 bits = code % 4
                 code //= 4
                 if bits & 1:
-                    t_set.add(a)
+                    t_set.add(n + 2 * j)
                 if bits & 2:
-                    t_set.add(b)
-            best = min(best, directed_cut(g, t_set))
+                    t_set.add(n + 2 * j + 1)
+            best = min(best, sum(w for tail, head, w in g.arcs
+                                 if tail in t_set and head not in t_set))
         assert best == pytest.approx(cut_value(h, s), abs=1e-12)

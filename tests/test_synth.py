@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from hyperlocal.hypergraph import format_hgr, parse_hypergraph, set_metrics
+from hyperlocal.hypergraph import GadgetParams, Hypergraph, format_hgr, parse_hypergraph, set_metrics
 from hyperlocal.synth import SplitMix64, format_labels, planted_hypergraph, sample_seeds
 
 
@@ -124,10 +124,22 @@ def test_delta_parameter_sets_gadget_caps():
     assert all(float(d) == 2.0 for d in h.gadget_delta)
 
 
+@pytest.mark.parametrize("delta", [1.0, 2.0])
+def test_delta_gadgets_match_per_edge_lists(delta):
+    """The generator's uniform gadget arrays are those of one GadgetParams
+    list per edge, byte for byte."""
+    h, _ = gen(delta=delta)
+    ref = Hypergraph(h.num_nodes, list(h.hyperedges),
+                     [[GadgetParams(1.0, delta)] for _ in h.hyperedges])
+    for name in ("gadget_edge", "gadget_c", "gadget_delta", "degrees", "incidence"):
+        got, want = getattr(h, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
 def test_generated_instances_parse_clean():
     h, _ = gen(rng_seed=21)
     rt = parse_hypergraph(format_hgr(h))
-    assert rt.hyperedges == h.hyperedges
+    assert list(rt.hyperedges) == list(h.hyperedges)
     assert all(len(e) >= 2 for e in h.hyperedges)
     assert all(0 <= v < h.num_nodes for e in h.hyperedges for v in e)
 
