@@ -311,8 +311,7 @@ def _cmd_gen(args) -> int:
         raise ValueError(f"bad --blocks/--sizes ({args.blocks!r}, {args.sizes!r})") from None
     # Infeasible parameter combinations surface as ValueError -> exit 1.
     h, labels = planted_hypergraph(blocks, args.epb, (lo, hi), args.cross,
-                                   args.rng, cross_scope=args.scope,
-                                   delta=args.delta)
+                                   args.rng, cross_scope=args.scope)
     outdir = args.out.rstrip("/") or "."
     _write_text(os.path.join(outdir, "graph.hgr"), format_hgr(h))
     _write_text(os.path.join(outdir, "labels.txt"), format_labels(labels))
@@ -456,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-block edge fraction (default 0.05)")
     g.add_argument("--scope", choices=("any", "chain"), default="any",
                    help="cross edges go to any other block, or only the next")
-    g.add_argument("--delta", type=float, default=1.0)
     g.add_argument("--rng", type=int, required=True, help="generator seed")
     g.add_argument("--out", required=True, help="output directory")
     g.set_defaults(func=_cmd_gen)

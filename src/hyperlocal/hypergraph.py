@@ -165,8 +165,8 @@ class Hypergraph:
     `hyperedges[k]` (a tuple of node ids) and `gadgets[k]` (a GadgetParams
     list) are read-only list views. The solvers and the sweep read the
     memoized views `incident_gadgets[v]`, `degree_of[v]`, `members_of[j]`,
-    `edge_of[j]`, `c_of[j]`, `wab_of[j]` (c * delta, formed on first read)
-    and `delta_of[j]`, which hold Python values for the keys read so far.
+    `edge_of[j]`, `c_of[j]` and `wab_of[j]` (c * delta, formed on first
+    read), which hold Python values for the keys read so far.
     `settle_of[j]` is the record the p = 2 pair settle reads per gadget,
     (wab, members, tol, round cap): one lookup in place of four, filled
     through the views above (c comes with the settle's x_a and x_b from the
@@ -242,7 +242,6 @@ class Hypergraph:
         self.edge_of = LazyView(g_edge.item)
         self.c_of = LazyView(g_c.item)
         self.wab_of = LazyView(partial(_wab, g_c, g_delta))
-        self.delta_of = LazyView(g_delta.item)
         self.settle_of = LazyView(partial(_settle_record, self.c_of, self.wab_of,
                                           self.members_of))
 
@@ -251,7 +250,12 @@ class Hypergraph:
                                  len(self.hyperedges.memo[k]))
 
     def volume(self, nodes) -> float:
-        return float(sum(self.degree_of[v] for v in set(nodes)))
+        """Sum of the distinct nodes' degrees; ValueError on an id outside [0, n)."""
+        nodes = set(nodes)
+        for v in nodes:
+            if not 0 <= v < self.num_nodes:
+                raise ValueError(f"node id {v} out of range")
+        return float(sum(self.degree_of[v] for v in nodes))
 
     def __repr__(self):
         return (f"Hypergraph(n={self.num_nodes}, m={len(self.hyperedges)}, "
@@ -342,21 +346,22 @@ def _gadget_arrays(gadgets, m):
     return np.repeat(np.arange(m, dtype=np.int32), counts), c, delta
 
 
-def cut_value(h: Hypergraph, s) -> float:
-    """Total penalty of the edges s splits. Reads only the edges incident to
-    s, and adds their penalties in ascending edge order."""
-    s = set(s)
-    edges = set()
-    for v in s:
-        if 0 <= v < h.num_nodes:
-            for j in h.incident_gadgets[v]:
-                edges.add(h.edge_of[j])
-    total = 0.0
+def _crossing_edges(h: Hypergraph, s: set):
+    """(k, |edge k & s|) for each edge k that s splits, ascending in k. Reads
+    only the edges incident to s; ids outside [0, n) are ignored."""
+    edges = {h.edge_of[j] for v in s if 0 <= v < h.num_nodes for j in h.incident_gadgets[v]}
     for k in sorted(edges):
         e = h.hyperedges.memo[k]
-        inc = sum(1 for v in e if v in s)
-        if inc < len(e):
-            total += h.edge_penalty(k, inc)
+        inside = sum(1 for v in e if v in s)
+        if inside < len(e):
+            yield k, inside
+
+
+def cut_value(h: Hypergraph, s) -> float:
+    """Total penalty of the edges s splits, added in ascending edge order."""
+    total = 0.0
+    for k, inside in _crossing_edges(h, set(s)):
+        total += h.edge_penalty(k, inside)
     return total
 
 
@@ -367,14 +372,10 @@ def set_metrics(h: Hypergraph, s):
     side has zero volume (empty set, full set, or isolated-node sets).
     """
     s = set(s)
-    for v in s:
-        if not (0 <= v < h.num_nodes):
-            raise ValueError(f"node id {v} out of range")
-    cut = cut_value(h, s)
     vol = h.volume(s)
+    cut = cut_value(h, s)
     small = min(vol, h.total_volume - vol)
-    cond = cut / small if small > 0 else math.inf
-    return cut, vol, cond
+    return cut, vol, cut / small if small > 0 else math.inf
 
 
 def conductance(h: Hypergraph, s) -> float:

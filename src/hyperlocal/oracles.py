@@ -18,6 +18,8 @@ from .reduction import build_localized_cut_graph, build_reduced_graph
 BRUTE_NODE_CAP = 20
 GADGET_ENUM_CAP = 8
 REFERENCE_SIZE_CAP = 2000
+REFERENCE_TOL = 1e-10  # reference_qp_solver's KKT violation target
+REFERENCE_MAX_SWEEPS = 200000
 _CHUNK = 1 << 16
 _TIE = 1e-12  # relative width of the minimizers' band
 
@@ -393,8 +395,7 @@ def objective_value(h: Hypergraph, seeds, cfg, x) -> float:
     return total
 
 
-def reference_qp_solver(h: Hypergraph, seeds, cfg, tol: float = 1e-10,
-                        max_sweeps: int = 200000) -> np.ndarray:
+def reference_qp_solver(h: Hypergraph, seeds, cfg) -> np.ndarray:
     """Dense minimizer of the localized objective by cyclic exact coordinate
     minimization; independent of the push solvers. Returns x over V ++ aux."""
     size = h.num_nodes + 2 * h.num_gadgets
@@ -414,8 +415,7 @@ def reference_qp_solver(h: Hypergraph, seeds, cfg, tol: float = 1e-10,
     x = np.zeros(nn)
     x[g.source_id] = 1.0
     order = [v for v in range(nn) if v not in (g.source_id, g.sink_id)]
-    check_every = 8
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, REFERENCE_MAX_SWEEPS + 1):
         max_move = 0.0
         for v in order:
             if not outs[v] and not ins[v]:
@@ -425,11 +425,12 @@ def reference_qp_solver(h: Hypergraph, seeds, cfg, tol: float = 1e-10,
             x[v] = t
             if move > max_move:
                 max_move = move
-        if sweep % check_every == 0 or max_move < 1e-13:
+        if sweep % 8 == 0 or max_move < 1e-13:  # a KKT check every 8 sweeps
             report = kkt_check(h, seeds, cfg, x[:size])
-            if report.max_violation <= tol:
+            if report.max_violation <= REFERENCE_TOL:
                 return x[:size].copy()
             if max_move == 0.0:
                 raise RuntimeError(
                     f"reference solver stalled at violation {report.max_violation:g}")
-    raise RuntimeError(f"reference solver did not reach tol {tol} in {max_sweeps} sweeps")
+    raise RuntimeError(f"reference solver did not reach tol {REFERENCE_TOL} "
+                       f"in {REFERENCE_MAX_SWEEPS} sweeps")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _crossing_edges
 
 
 @dataclass
@@ -100,25 +100,8 @@ def boundary_delta_bar(h: Hypergraph, s) -> float:
     which the edge's penalty saturates. Only edges with a node in s can cross
     s, so the cost is O(vol(s)) gadget visits plus the sizes of those edges.
     """
-    s = set(s)
-    edge_delta: dict[int, float] = {}
-    for v in s:
-        if not 0 <= v < h.num_nodes:
-            continue
-        for j in h.incident_gadgets[v]:
-            k = h.edge_of[j]
-            d = h.delta_of[j]
-            if d > edge_delta.get(k, 0.0):
-                edge_delta[k] = d
-    best = 0.0
-    for k, d in edge_delta.items():
-        edge = h.hyperedges.memo[k]
-        inside = sum(1 for v in edge if v in s)
-        if inside < len(edge):
-            val = min(d, len(edge) / 2.0)
-            if val > best:
-                best = val
-    return best
+    return max((min(max(g.delta for g in h.gadgets.memo[k]), len(h.hyperedges.memo[k]) / 2.0)
+                for k, _ in _crossing_edges(h, set(s))), default=0.0)
 
 
 def prf1(pred, truth):

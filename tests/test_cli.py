@@ -395,6 +395,26 @@ def test_gen_rejects_bad_sizes(tmp_path):
     assert rc == 1
 
 
+def test_gen_has_no_delta_flag(tmp_path, capsys):
+    """.hgr carries no gadget parameters, so gen takes no --delta."""
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--blocks", "20,20", "--epb", "30", "--sizes", "3:5", "--rng", "7",
+              "--delta", "2", "--out", str(tmp_path / "g")])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --delta 2" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
+def test_gen_chain_scope_links_only_adjacent_blocks(tmp_path):
+    out = tmp_path / "g"
+    assert main(["gen", "--blocks", "10,10,10,10", "--epb", "40", "--sizes", "3:5",
+                 "--cross", "0.5", "--scope", "chain", "--rng", "3", "--out", str(out)]) == 0
+    label = dict(map(int, line.split()) for line in (out / "labels.txt").read_text().splitlines())
+    h = parse_hypergraph((out / "graph.hgr").read_text())
+    spans = [max(label[v + 1] for v in e) - min(label[v + 1] for v in e) for e in h.hyperedges]
+    assert set(spans) == {0, 1}
+
+
 # ---------------------------------------------------------------------------
 # check
 

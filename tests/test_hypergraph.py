@@ -115,6 +115,17 @@ def test_set_metrics_degenerate_sides():
     assert conductance(h, {0}) == 1.0
 
 
+@pytest.mark.parametrize("bad", [-1, 4, 10])
+def test_volume_and_set_metrics_reject_out_of_range_ids(bad):
+    """An id outside [0, n) raises ValueError naming it, and is never read
+    as a degree (-1 as node n - 1's, say) or left to numpy's IndexError."""
+    h = Hypergraph(4, [(0, 1, 2), (1, 2, 3), (2, 3)])
+    for metric in (h.volume, partial(set_metrics, h)):
+        with pytest.raises(ValueError, match=rf"^node id {bad} out of range$"):
+            metric([0, bad])
+    assert h.volume([0, 3]) == 3.0
+
+
 def test_parse_gadget_sidecar():
     rows = parse_gadget_lines("1:2 0.5:3\n2:1\n", 2)
     assert rows[0] == [GadgetParams(1.0, 2.0), GadgetParams(0.5, 3.0)]
@@ -248,8 +259,8 @@ def assert_same_as_reference(h, ref):
     assert [h.members_of[j] for j in range(h.num_gadgets)] == \
         [ref.hyperedges[k] for k in ref.gadget_edge]
     for j in range(h.num_gadgets):
-        assert (h.edge_of[j], h.c_of[j], h.wab_of[j], h.delta_of[j]) == \
-            (ref.gadget_edge[j], ref.gadget_c[j], ref.gadget_wab[j], ref.gadget_delta[j])
+        assert (h.edge_of[j], h.c_of[j], h.wab_of[j]) == \
+            (ref.gadget_edge[j], ref.gadget_c[j], ref.gadget_wab[j])
     assert all(type(h.degree_of[v]) is float and h.degree_of[v] == ref.degrees[v]
                for v in range(n))
     for k, e in enumerate(ref.hyperedges):

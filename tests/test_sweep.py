@@ -211,9 +211,10 @@ def test_sweep_work_stays_flat_as_chain_grows():
         h, seeds = _chain(kblocks)
         res = solve(h, seeds, CHAIN_CFG)
         wrapped = {name: _CountingSequence(getattr(h, name))
-                   for name in ("incident_gadgets", "edge_of", "delta_of", "degree_of")}
+                   for name in ("incident_gadgets", "edge_of", "degree_of")}
         for name, seq in wrapped.items():
             setattr(h, name, seq)
+        wrapped["gadgets.memo"] = h.gadgets.memo = _CountingSequence(h.gadgets.memo)
         prof = sweepcut(h, res.x)
         boundary_delta_bar(h, prof.best_set)
         assert all(seq.iterations == 0 for seq in wrapped.values())
@@ -241,7 +242,7 @@ class _Untouchable:
 _ARRAYS = ("edge_offsets", "edge_members", "gadget_edge", "gadget_c", "gadget_delta",
            "incidence_offsets", "incidence", "degrees")
 _VIEWS = ("incident_gadgets", "degree_of", "members_of", "edge_of", "c_of", "wab_of",
-          "delta_of", "settle_of")
+          "settle_of")
 
 
 def test_query_reads_a_local_memo_of_python_scalars(monkeypatch):
