@@ -45,9 +45,9 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NOCONV = 3
 
-_KAPPA_HELP = ("sparsity threshold kappa (required; no universal default -- "
+_KAPPA_HELP = ("sparsity threshold kappa (%s); no value suits every graph -- "
                "scale it down with graph size: 0.01-0.1 at toy scale, "
-               "~2.5e-3 around 1e5 hyperedges, ~2.5e-4 around 1e6)")
+               "~2.5e-3 around 1e5 hyperedges, ~2.5e-4 around 1e6")
 
 _DELTA_HELP = ("uniform gadget threshold delta >= 1 for every hyperedge "
                "(default 1.0); excludes --gadgets, whose sidecar sets every delta")
@@ -413,9 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="norm exponent in (1,2] (default 2.0, closed-form path)")
         if kappa_multi:
             p.add_argument("--kappa", type=float, nargs="+", required=True,
-                           help=_KAPPA_HELP)
+                           help=_KAPPA_HELP % "required")
         else:
-            p.add_argument("--kappa", type=float, default=0.1, help=_KAPPA_HELP)
+            p.add_argument("--kappa", type=float, default=0.1, help=_KAPPA_HELP % "default 0.1")
 
     d = sub.add_parser("diffuse", help="run a localized diffusion and sweepcut")
     d.add_argument("--graph", required=True, help=".hgr hypergraph file")

@@ -11,8 +11,8 @@ gadget (the sidecar's str tokens live for one piece of the text). Each input
 format has one parser, that pass: it stops at the first bad line and words
 the error from that line's tokens. The solvers and the sweep read the arrays
 through memoized views (`LazyView`) that hand out Python ints, floats and
-tuples and convert each entry the first time it is read, so a query pays
-for what it touches, not for the size of the hypergraph.
+tuples and convert (and range-check) each id the first time it is read, so
+a query pays for what it touches, not for the size of the hypergraph.
 """
 from __future__ import annotations
 
@@ -54,12 +54,12 @@ def splitting_penalty(gadgets, in_count: int, edge_size: int) -> float:
     return sum(g.c * min(small_side, g.delta) for g in gadgets)
 
 
-class LazyView(dict):
-    """key -> value converted from the arrays the first time it is read.
+class IdOutOfRange(IndexError, ValueError):
+    """A view's key outside [0, count); both errors, as numpy's AxisError is."""
 
-    A dict subclass, so a repeated read is one dict lookup; it holds only the
-    keys read so far, and len() counts them.
-    """
+
+class _Memo(dict):
+    """A dict that fills a missing key with convert(key); len() counts the keys read."""
 
     __slots__ = ("_convert",)
 
@@ -72,9 +72,22 @@ class LazyView(dict):
         return value
 
 
+class LazyView(_Memo):
+    """A _Memo of the ids in [0, count); any other key raises IdOutOfRange and is not kept."""
+
+    __slots__ = ("_kind", "_count")
+
+    def __init__(self, kind, count, convert):
+        super().__init__(convert)
+        self._kind, self._count = kind, count
+
+    def __missing__(self, key):
+        if not 0 <= key < self._count:
+            raise IdOutOfRange(f"{self._kind} id {key} out of range")
+        return super().__missing__(key)
+
+
 def _csr_row(offsets, values, k):
-    if not 0 <= k < len(offsets) - 1:
-        raise IndexError(f"row {k} out of range [0, {len(offsets) - 1})")
     return tuple(values[offsets.item(k):offsets.item(k + 1)].tolist())
 
 
@@ -92,9 +105,7 @@ def _settle_record(c_of, wab_of, members_of, j):
     return wab, members, 1e-15 * (1.0 + wab + c * len(members)), 4 * len(members) + 8
 
 
-def _gadget_row(num_edges, edge, c, delta, k):
-    if not 0 <= k < num_edges:
-        raise IndexError(f"row {k} out of range [0, {num_edges})")
+def _gadget_row(edge, c, delta, k):
     # Keys of edge's own dtype: mixed dtypes would make searchsorted cast
     # (copy) the whole array on every call.
     lo, hi = np.searchsorted(edge, np.array((k, k + 1), dtype=edge.dtype)).tolist()
@@ -102,25 +113,20 @@ def _gadget_row(num_edges, edge, c, delta, k):
 
 
 class _Rows(Sequence):
-    """Read-only list over a LazyView (`memo`): len, indexing and iteration
-    (which converts rows without memoizing them)."""
+    """Read-only list over an edge-keyed LazyView (`memo`): len, indexing and
+    iteration (which converts rows without memoizing them)."""
 
     def __init__(self, count, convert):
-        self.memo = LazyView(convert)
-        self._count = count
+        self.memo = LazyView("edge", count, convert)
 
     def __len__(self):
-        return self._count
+        return self.memo._count
 
     def __getitem__(self, k):
-        if k < 0:
-            k += self._count
-        if not 0 <= k < self._count:
-            raise IndexError("row index out of range")
-        return self.memo[k]
+        return self.memo[k + len(self) if k < 0 else k]
 
     def __iter__(self):
-        return map(self.memo._convert, range(self._count))
+        return map(self.memo._convert, range(len(self)))
 
 
 class EdgeRows(_Rows):
@@ -139,7 +145,7 @@ class GadgetRows(_Rows):
     builds its own GadgetParams; `memo` keeps the rows read so far."""
 
     def __init__(self, num_edges, edge, c, delta):
-        super().__init__(num_edges, partial(_gadget_row, num_edges, edge, c, delta))
+        super().__init__(num_edges, partial(_gadget_row, edge, c, delta))
         self.edge = edge
         self.c = c
         self.delta = delta
@@ -170,7 +176,8 @@ class Hypergraph:
     `settle_of[j]` is the record the p = 2 pair settle reads per gadget,
     (wab, members, tol, round cap): one lookup in place of four, filled
     through the views above (c comes with the settle's x_a and x_b from the
-    push's scan).
+    push's scan). These views and `hyperedges.memo` and `gadgets.memo` raise
+    IdOutOfRange (an IndexError and a ValueError) on a key out of range.
 
     `hyperedges` and `gadgets` may be lists, or the views of another
     Hypergraph (or of `_parse_edges` and `parse_gadget_lines`), whose arrays
@@ -227,35 +234,30 @@ class Hypergraph:
         self.gadget_delta = g_delta
         self.degrees = deg
         self.total_volume = float(deg.sum())
-        self.num_gadgets = len(g_edge)
+        self.num_gadgets = g = len(g_edge)
         for arr in (offsets, members, g_edge, g_c, g_delta, self.incidence_offsets,
                     self.incidence, deg):
             arr.flags.writeable = False  # the views memoize what they read
 
         self.hyperedges = EdgeRows(offsets, members)
         self.gadgets = GadgetRows(m, g_edge, g_c, g_delta)
-        edge_rows = self.hyperedges.memo
-        self.incident_gadgets = LazyView(partial(_csr_row, self.incidence_offsets,
-                                                 self.incidence))
-        self.members_of = LazyView(partial(_member_row, edge_rows, g_edge))
-        self.degree_of = LazyView(deg.item)
-        self.edge_of = LazyView(g_edge.item)
-        self.c_of = LazyView(g_c.item)
-        self.wab_of = LazyView(partial(_wab, g_c, g_delta))
-        self.settle_of = LazyView(partial(_settle_record, self.c_of, self.wab_of,
-                                          self.members_of))
+        self.incident_gadgets = LazyView("node", n, partial(_csr_row, self.incidence_offsets,
+                                                            self.incidence))
+        self.members_of = LazyView("gadget", g, partial(_member_row, self.hyperedges.memo, g_edge))
+        self.degree_of = LazyView("node", n, deg.item)
+        self.edge_of = LazyView("gadget", g, g_edge.item)
+        self.c_of = LazyView("gadget", g, g_c.item)
+        self.wab_of = LazyView("gadget", g, partial(_wab, g_c, g_delta))
+        self.settle_of = LazyView("gadget", g, partial(_settle_record, self.c_of, self.wab_of,
+                                                       self.members_of))
 
     def edge_penalty(self, k: int, in_count: int) -> float:
         return splitting_penalty(self.gadgets.memo[k], in_count,
                                  len(self.hyperedges.memo[k]))
 
     def volume(self, nodes) -> float:
-        """Sum of the distinct nodes' degrees; ValueError on an id outside [0, n)."""
-        nodes = set(nodes)
-        for v in nodes:
-            if not 0 <= v < self.num_nodes:
-                raise ValueError(f"node id {v} out of range")
-        return float(sum(self.degree_of[v] for v in nodes))
+        """Sum of the distinct nodes' degrees; an id outside [0, n) raises IdOutOfRange."""
+        return float(sum(self.degree_of[v] for v in set(nodes)))
 
     def __repr__(self):
         return (f"Hypergraph(n={self.num_nodes}, m={len(self.hyperedges)}, "
@@ -622,7 +624,7 @@ def parse_gadget_lines(text: str, num_edges: int) -> GadgetRows:
         deltas.append(g.delta)
         return len(cs) - 1
 
-    index = LazyView(parse)  # token -> index of its distinct token; valid ones only
+    index = _Memo(parse)  # token -> index of its distinct token; valid ones only
     picks, counts = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int64)]
     for lo, hi in _pieces(text):
         piece = text[lo:hi]

@@ -35,6 +35,7 @@ in state.walk_pushes.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 from .hypergraph import Hypergraph
 from .quadratic import VIOLATION_GUARD, DiffusionConfig, SolveResult, _drive, solve
@@ -168,7 +169,7 @@ def _settle_pair(member_x, c, wab, q, xa0, xb0, tol, state=None):
     residual error that no x_a can remove. Evaluations of both stages are
     added to state.root_evals when state is given.
     """
-    xs = sorted(xv for _, xv in member_x)
+    xs = sorted(member_x)
     xmin = xs[0]
     xmax = xs[-1]
     if xmax <= xmin:
@@ -273,7 +274,7 @@ def _pair_residuals(member_x, c, wab, q, xa, xb):
     """(r_a, r_b) of a gadget pair at (xa, xb), x_a >= x_b, in one pass."""
     ra = -wab * (xa - xb) ** q if xa > xb else 0.0
     rb = -ra
-    for _, xv in member_x:
+    for xv in member_x:
         if xv > xa:
             ra += c * (xv - xa) ** q
         if xb > xv:
@@ -307,7 +308,7 @@ def settle(h: Hypergraph, state, cfg: DiffusionConfig, i: int, dxi: float, adjac
         members = h.members_of[j]
         if members is not last:
             last = members
-            member_x = [(v, x.get(v, 0.0)) for v in members]
+            member_x = list(map(x.get, members, repeat(0.0)))
         xa, xb = xa0, xb0
         tol = 1e-9 * (1.0 + wab + c * len(members))
         ra, rb = _pair_residuals(member_x, c, wab, q, xa, xb)
@@ -315,8 +316,7 @@ def settle(h: Hypergraph, state, cfg: DiffusionConfig, i: int, dxi: float, adjac
             xa, xb = _settle_pair(member_x, c, wab, q, xa0, xb0, tol, state)
             ra, rb = _pair_residuals(member_x, c, wab, q, xa, xb)
             err = max(abs(ra), abs(rb))
-            if err > 10 * tol and err > _settle_bound(
-                    tol, wab, c, q, max(max(xv for _, xv in member_x), xa)):
+            if err > 10 * tol and err > _settle_bound(tol, wab, c, q, max(max(member_x), xa)):
                 raise RuntimeError(
                     f"p-norm auxpush on gadget {j} did not settle (residual {err:.3g})")
 
@@ -328,7 +328,7 @@ def settle(h: Hypergraph, state, cfg: DiffusionConfig, i: int, dxi: float, adjac
         da = xa - xa0
         db = xb - xb0
         if da > 0 or db > 0:
-            for v, xv in member_x:
+            for v, xv in zip(members, member_x):
                 bump = 0.0
                 if xv > xa0:
                     bump += c * ((xv - xa0) ** q - _gap(xv - xa, q))

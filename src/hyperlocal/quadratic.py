@@ -96,20 +96,17 @@ def init_state(h: Hypergraph, seeds, cfg: DiffusionConfig) -> DiffusionState:
     seeds = sorted(set(int(v) for v in seeds))
     if not seeds:
         raise ValueError("seed set is empty")
-    for v in seeds:
-        if not (0 <= v < h.num_nodes):
-            raise ValueError(f"seed {v} out of range")
-        if h.degree_of[v] <= 0:
-            raise ValueError(f"seed {v} has zero degree")
     state = DiffusionState(seeds=frozenset(seeds))
-    state.seed_volume = float(sum(h.degree_of[v] for v in seeds))
     thresh = 1.0 + VIOLATION_GUARD
     for v in seeds:
-        d = h.degree_of[v]
+        d = h.degree_of[v]  # an id outside [0, n) raises here
+        if d <= 0:
+            raise ValueError(f"seed {v} has zero degree")
         state.r[v] = d
         if d > cfg.kappa * d * thresh:
             state.queue.append(v)
             state.in_queue.add(v)
+    state.seed_volume = float(sum(state.r.values()))
     return state
 
 
@@ -410,14 +407,14 @@ def ledger_bound(cfg: DiffusionConfig, seed_volume: float, delta_max: float) -> 
     ratio 0.99990 over 58 200 delta = 1 solves with gamma 0.1-1e6, rho
     1e-4-0.99 and kappa 0.01-0.99, the ledger-bound search in ROADMAP.md's
     Baseline). The p < 2 form is not derived in this module.
-    Near p = 1 its q-th powers leave the float range; the bound is then
-    math.inf.
+    Near p = 1 its q-th powers leave the float range, and at either p
+    gamma*kappa can underflow to 0; the bound is then math.inf.
     """
     gk = cfg.gamma * cfg.kappa
-    if cfg.p == 2.0:
-        return (gk + delta_max) * seed_volume / (gk * (1 - cfg.rho))
     q = 1.0 / (cfg.p - 1.0)
     try:
+        if cfg.p == 2.0:
+            return (gk + delta_max) * seed_volume / (gk * (1 - cfg.rho))
         return (gk + delta_max) ** q * seed_volume / ((cfg.p - 1.0) * (gk * (1 - cfg.rho)) ** q)
     except (OverflowError, ZeroDivisionError):
         return math.inf

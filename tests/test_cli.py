@@ -496,6 +496,27 @@ def test_one_based_names_gadgets_too():
         == "p-norm auxpush on gadget 10 did not settle (residual 1e-3)"
 
 
+def test_check_help_names_its_kappa_default(capsys):
+    """check's --kappa defaults to 0.1, and its help says so rather than
+    calling the flag required."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "--help"])
+    assert exit_info.value.code == 0
+    kappa_help = " ".join(capsys.readouterr().out.split("--kappa KAPPA")[-1].split())
+    assert kappa_help.startswith("sparsity threshold kappa (default 0.1)")
+    assert "required" not in kappa_help
+
+
+def test_diffuse_tiny_gamma_kappa_reports_ledger_bound_as_null(tri_file, tmp_path):
+    # gamma * kappa underflows to 0: the p = 2 bound is reported as null
+    # instead of the run dying on a ZeroDivisionError before its record.
+    out = tmp_path / "out"
+    rc = main(["diffuse", "--graph", str(tri_file), "--seed-nodes", "1",
+               "--kappa", "1e-200", "--gamma", "1e-200", "--out", str(out)])
+    assert rc == 0
+    assert json.loads((out / "report.jsonl").read_text())["ledger_bound"] is None
+
+
 def test_diffuse_reports_unrepresentable_ledger_bound_as_null(tri_file, tmp_path):
     # At p = 1.01 the bound's 100th powers leave the float range. kappa = 1
     # pushes nothing, so the run converges and the record is written.

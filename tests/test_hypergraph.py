@@ -3,6 +3,7 @@ import math
 import time
 import tracemalloc
 from functools import partial
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -124,6 +125,30 @@ def test_volume_and_set_metrics_reject_out_of_range_ids(bad):
         with pytest.raises(ValueError, match=rf"^node id {bad} out of range$"):
             metric([0, bad])
     assert h.volume([0, 3]) == 3.0
+
+
+# (view, id kind, count) of every id-keyed view of
+# Hypergraph(4, [(0, 1, 2), (1, 2, 3), (2, 3)]): one gadget per edge.
+ID_VIEWS = [("incident_gadgets", "node", 4), ("degree_of", "node", 4),
+            ("members_of", "gadget", 3), ("edge_of", "gadget", 3), ("c_of", "gadget", 3),
+            ("wab_of", "gadget", 3), ("settle_of", "gadget", 3),
+            ("hyperedges.memo", "edge", 3), ("gadgets.memo", "edge", 3)]
+
+
+@pytest.mark.parametrize("name,kind,count", ID_VIEWS)
+@pytest.mark.parametrize("where", ["below", "above"])
+def test_views_reject_keys_outside_their_range(name, kind, count, where):
+    """A key outside [0, count) raises an error that is both an IndexError
+    and a ValueError, naming the id, and nothing is memoized under it: -1
+    is not read as the last entry, count not left to numpy's IndexError."""
+    h = Hypergraph(4, [(0, 1, 2), (1, 2, 3), (2, 3)])
+    view = attrgetter(name)(h)
+    key = -1 if where == "below" else count
+    for error in (IndexError, ValueError):
+        with pytest.raises(error, match=rf"^{kind} id {key} out of range$"):
+            view[key]
+    assert len(view) == 0
+    assert h.hyperedges[-1] == (2, 3) and h.gadgets[-1] == [GadgetParams()]
 
 
 def test_parse_gadget_sidecar():

@@ -283,13 +283,13 @@ def test_auxpush_survives_tiny_gap():
 
 def test_settle_pair_direct():
     # The pair solver alone, against residual recomputation at its output.
-    member_x = [(0, 0.8), (1, 0.2), (2, 0.500001)]
+    member_x = [0.8, 0.2, 0.500001]
     q = 0.4
     xa, xb = _settle_pair(member_x, 1.0, 1.5, q, 0.0, 0.0, 1e-10)
     assert xa >= xb >= 0.0
     ra = -1.5 * (xa - xb) ** q if xa > xb else 0.0
     rb = -ra
-    for _, xv in member_x:
+    for xv in member_x:
         if xv > xa:
             ra += (xv - xa) ** q
         if xb > xv:
@@ -472,8 +472,8 @@ def test_settle_pair_meets_auxpush_bound(q):
         xs = [k * 6.6e-5 * (1.0 + rng.uniform(-1e-6, 1e-6)) for k in range(4)]
         cases.append((xs, 1.0, 1.0, 6e-9, 0.0, 0.0))
     for xs, c, wab, tol, xa0, xb0 in cases:
-        member_x = list(enumerate(xs))
-        for settle in (_settle_pair, bisection_settle_pair):
+        # The reference takes (id, value) pairs, _settle_pair the values.
+        for settle, member_x in ((_settle_pair, xs), (bisection_settle_pair, list(enumerate(xs)))):
             xa, xb = settle(member_x, c, wab, q, xa0, xb0, tol)
             assert xa >= xb >= xb0 and xa >= xa0
             floor = (wab + c) * math.ulp(max(max(xs), xa)) ** q
@@ -490,60 +490,60 @@ def test_settle_pair_escapes_newton_cycle():
     xs = [0.0, 2.980232238769531e-07, 3.978604765699885e-06, 6.526694755047574e-06]
     tol = 6e-09
     q = 1.4 - 1.0
-    xa, xb = _settle_pair(list(enumerate(xs)), 1.0, 1.0, q,
+    xa, xb = _settle_pair(xs, 1.0, 1.0, q,
                           3.60271913254819e-06, 6.787435100488048e-07, tol)
     floor = 2.0 * math.ulp(xs[-1]) ** q
     assert _pair_error(xs, 1.0, 1.0, q, xa, xb) <= 10 * tol + 2 * floor
 
 
 # Settles whose Newton pair missed the auxpush bound, logged as
-# (member_x, c, wab, q, tol, xa0, xb0) from p = 1.4 solves: four from the
+# (member values, c, wab, q, tol, xa0, xb0) from p = 1.4 solves: four from the
 # planted-pnorm benchmark (seeds 0-2), five from acceptance check 2. In
 # each, Newton's x_a sits within 2e-15 of a member value, its a-residual is
 # below 4e-16, and the composed x_b = x_a - G leaves a b-residual of 3.5e-7
 # to 2.0e-5 against bounds of 6.9e-8 to 3.0e-7.
 MISSED_SETTLES = [
-    ([(207, 2.101062081705811e-06), (257, 2.0116567611694336e-07),
-      (261, 8.717177429895528e-07), (275, 3.7401862316742873e-06),
-      (310, 1.4156103134155273e-07), (311, 4.6193594455123943e-07)],
+    ([2.101062081705811e-06, 2.0116567611694336e-07,
+      8.717177429895528e-07, 3.7401862316742873e-06,
+      1.4156103134155273e-07, 4.6193594455123943e-07],
      1.0, 1.0, 0.3999999999999999, 8e-09,
      2.1005864453005236e-06, 2.987606302173801e-07),
-    ([(0, 2.1830185410468963e-06), (70, 3.129243850708008e-07),
-      (99, 3.3900099278306626e-06), (137, 2.36183219481982e-06),
-      (179, 1.3336534822050439e-06)],
+    ([2.1830185410468963e-06, 3.129243850708008e-07,
+      3.3900099278306626e-06, 2.36183219481982e-06,
+      1.3336534822050439e-06],
      1.0, 1.0, 0.3999999999999999, 7.000000000000001e-09,
      2.3610513056134374e-06, 1.180525653066495e-06),
-    ([(106, 5.6624404720651e-07), (120, 2.086162567138672e-07),
-      (157, 1.2814993477495219e-06), (184, 9.238717153526028e-07)],
+    ([5.6624404720651e-07, 2.086162567138672e-07,
+      1.2814993477495219e-06, 9.238717153526028e-07],
      1.0, 1.0, 0.3999999999999999, 6.000000000000001e-09,
      9.16438968482391e-07, 5.513785892152599e-07),
-    ([(241, 3.7997961044311523e-07), (281, 7.599592208862305e-07), (285, 0.0),
-      (370, 1.1399385887456148e-06)],
+    ([3.7997961044311523e-07, 7.599592208862305e-07, 0.0,
+      1.1399385887456148e-06],
      1.0, 1.0, 0.3999999999999999, 6.000000000000001e-09,
      5.066394805904387e-07, 2.533197402946469e-07),
-    ([(0, 0.006112183523889651), (2, 0.0061140204390734785),
-      (3, 0.006115856162751023), (5, 0.0061103685339016205)],
+    ([0.006112183523889651, 0.0061140204390734785,
+      0.006115856162751023, 0.0061103685339016205],
      1.0, 1.0, 0.3999999999999999, 6.000000000000001e-09,
      0.006114011668820915, 0.006111575481052503),
-    ([(0, 0.006279886281267662), (2, 0.006281959773524925),
-      (3, 0.006284032145858565), (5, 0.006277827225945824)],
+    ([0.006279886281267662, 0.006281959773524925,
+      0.006284032145858565, 0.006277827225945824],
      1.0, 1.0, 0.3999999999999999, 6.000000000000001e-09,
      0.006281873013919162, 0.006279850119932552),
-    ([(1, 0.000317821340546402), (4, 0.0003178883692555941),
-      (5, 0.00031843954319846077), (7, 0.0003169722347410816),
-      (9, 0.0003174563744940275), (11, 0.0003175755476737349),
-      (12, 0.00031766492270154326), (15, 0.0003179479623928585)],
+    ([0.000317821340546402, 0.0003178883692555941,
+      0.00031843954319846077, 0.0003169722347410816,
+      0.0003174563744940275, 0.0003175755476737349,
+      0.00031766492270154326, 0.0003179479623928585],
      1.0, 1.0, 0.3999999999999999, 1e-08,
      0.0003179194897018252, 0.0003174458622214656),
-    ([(2, 0.0005707100824126666), (3, 0.0005675081621527942),
-      (4, 0.0005671954159693036), (8, 0.0005680294482263135),
-      (10, 0.0005691761714387262), (11, 0.0005676421940353889)],
+    ([0.0005707100824126666, 0.0005675081621527942,
+      0.0005671954159693036, 0.0005680294482263135,
+      0.0005691761714387262, 0.0005676421940353889],
      1.0, 1.0, 0.3999999999999999, 8e-09,
      0.0005683603172345818, 0.0005675444630304374),
-    ([(2, 0.0006625664033462566), (3, 0.0006522687937856491),
-      (4, 0.0006628789716863171), (6, 0.0006598261814518112),
-      (14, 0.0006523581277419725), (16, 0.0006516656629152239),
-      (17, 0.000654107838381373), (22, 0.0006612111035877126)],
+    ([0.0006625664033462566, 0.0006522687937856491,
+      0.0006628789716863171, 0.0006598261814518112,
+      0.0006523581277419725, 0.0006516656629152239,
+      0.000654107838381373, 0.0006612111035877126],
      1.0, 1.0, 0.3999999999999999, 1e-08,
      0.0006612110635940519, 0.0006525292128982396),
 ]
@@ -553,10 +553,9 @@ MISSED_SETTLES = [
 def test_settle_pair_meets_bound_where_newton_missed(case):
     """_settle_pair alone meets the auxpush bound on settles whose Newton
     pair missed it; the x_b stage's evaluations are counted."""
-    member_x, c, wab, q, tol, xa0, xb0 = case
+    xs, c, wab, q, tol, xa0, xb0 = case
     st = DiffusionState()
-    xa, xb = _settle_pair(member_x, c, wab, q, xa0, xb0, tol, st)
-    xs = [xv for _, xv in member_x]
+    xa, xb = _settle_pair(xs, c, wab, q, xa0, xb0, tol, st)
     assert xa >= xb >= xb0 and xa >= xa0
     floor = (wab + c) * math.ulp(max(max(xs), xa)) ** q
     assert _pair_error(xs, c, wab, q, xa, xb) <= 10 * tol + 2 * floor
@@ -594,8 +593,8 @@ def test_settle_pair_meets_bound_on_clustered_members(q):
             if rng.random() < 0.75:
                 before = list(xs)
                 before[rng.randrange(len(xs))] *= rng.random()
-                xa0, xb0 = _settle_pair(list(enumerate(before)), c, wab, q, 0.0, 0.0, tol)
-            xa, xb = _settle_pair(list(enumerate(xs)), c, wab, q, xa0, xb0, tol)
+                xa0, xb0 = _settle_pair(before, c, wab, q, 0.0, 0.0, tol)
+            xa, xb = _settle_pair(xs, c, wab, q, xa0, xb0, tol)
             assert xa >= xb >= xb0 and xa >= xa0
             floor = (wab + c) * math.ulp(max(max(xs), xa)) ** q
             err = _pair_error(xs, c, wab, q, xa, xb)

@@ -467,6 +467,13 @@ def test_ledger_bound_formulas():
     assert ledger_bound(c14, 6.0, 2.0) == pytest.approx(expect)
 
 
+@pytest.mark.parametrize("p", [2.0, 1.4])
+def test_ledger_bound_is_inf_when_gamma_kappa_underflows(p):
+    # gamma * kappa = 1e-400 is 0.0 in floats: no bound, rather than a
+    # ZeroDivisionError that stops the run before its record is written.
+    assert ledger_bound(cfg(kappa=1e-200, gamma=1e-200, p=p), 1.0, 1.0) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # Instrumented event-stream checks: every push is re-verified against an
 # independently maintained dense shadow of the state.
