@@ -415,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--kappa", type=float, nargs="+", required=True,
                            help=_KAPPA_HELP % "required")
         else:
-            p.add_argument("--kappa", type=float, default=0.1, help=_KAPPA_HELP % "default 0.1")
+            p.add_argument("--kappa", type=float, default=0.1,
+                           help=_KAPPA_HELP % "default %(default)s")
 
     d = sub.add_parser("diffuse", help="run a localized diffusion and sweepcut")
     d.add_argument("--graph", required=True, help=".hgr hypergraph file")

@@ -58,33 +58,25 @@ class IdOutOfRange(IndexError, ValueError):
     """A view's key outside [0, count); both errors, as numpy's AxisError is."""
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with convert(key); len() counts the keys read."""
+class LazyView(dict):
+    """id in [0, count) -> value converted from the arrays the first time it is read.
 
-    __slots__ = ("_convert",)
+    A dict subclass, so a repeated read is one dict lookup; it holds only the
+    ids read so far, and len() counts them. Any other key raises
+    IdOutOfRange, before anything is converted, and is not kept.
+    """
 
-    def __init__(self, convert):
-        super().__init__()
-        self._convert = convert
-
-    def __missing__(self, key):
-        value = self[key] = self._convert(key)
-        return value
-
-
-class LazyView(_Memo):
-    """A _Memo of the ids in [0, count); any other key raises IdOutOfRange and is not kept."""
-
-    __slots__ = ("_kind", "_count")
+    __slots__ = ("_kind", "_count", "_convert")
 
     def __init__(self, kind, count, convert):
-        super().__init__(convert)
-        self._kind, self._count = kind, count
+        super().__init__()
+        self._kind, self._count, self._convert = kind, count, convert
 
     def __missing__(self, key):
         if not 0 <= key < self._count:
             raise IdOutOfRange(f"{self._kind} id {key} out of range")
-        return super().__missing__(key)
+        value = self[key] = self._convert(key)
+        return value
 
 
 def _csr_row(offsets, values, k):
@@ -123,7 +115,7 @@ class _Rows(Sequence):
         return self.memo._count
 
     def __getitem__(self, k):
-        return self.memo[k + len(self) if k < 0 else k]
+        return self.memo[k + len(self) if -len(self) <= k < 0 else k]
 
     def __iter__(self):
         return map(self.memo._convert, range(len(self)))
@@ -624,7 +616,7 @@ def parse_gadget_lines(text: str, num_edges: int) -> GadgetRows:
         deltas.append(g.delta)
         return len(cs) - 1
 
-    index = _Memo(parse)  # token -> index of its distinct token; valid ones only
+    index = {}  # token -> index of its distinct token; valid ones only
     picks, counts = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int64)]
     for lo, hi in _pieces(text):
         piece = text[lo:hi]
@@ -634,13 +626,16 @@ def parse_gadget_lines(text: str, num_edges: int) -> GadgetRows:
         if len(body) < len(tokens):
             tokens = list(map(tokens.__getitem__, body.tolist()))
         try:
-            picks.append(np.fromiter(map(index.__getitem__, tokens), dtype=np.int32,
-                                     count=len(tokens)))
+            for tok in dict.fromkeys(tokens):
+                if tok not in index:
+                    index[tok] = parse(tok)
         except ValueError as exc:  # raised by the first token not in index
             k = line[body[next(t for t, tok in enumerate(tokens) if tok not in index)]]
             breaks = np.flatnonzero(_BYTE_KIND[_utf8(text[lo:hi])] == _BREAK)
             number = _line_at(text, lo, hi, breaks[k - 1] + 1 if k else 0)[0]
             raise HypergraphFormatError(f"line {number}: {exc}") from None
+        picks.append(np.fromiter(map(index.__getitem__, tokens), dtype=np.int32,
+                                 count=len(tokens)))
         del tokens
         counts.append(np.diff(_row_offsets(line[body])))
     counts = np.concatenate(counts)

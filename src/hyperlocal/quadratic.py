@@ -57,6 +57,8 @@ class DiffusionConfig:
             raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         if not (0 < self.kappa < math.inf):
             raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
+        if self.gamma * self.kappa == 0:
+            raise ValueError(f"gamma*kappa underflows to 0: {self.gamma}*{self.kappa}")
         if not (0 < self.rho < 1):
             raise ValueError(f"rho must be in (0,1), got {self.rho}")
         if not (1 < self.p <= 2):
@@ -390,9 +392,9 @@ def solve(h: Hypergraph, seeds, cfg: DiffusionConfig, on_event=None) -> SolveRes
 def ledger_bound(cfg: DiffusionConfig, seed_volume: float, delta_max: float) -> float:
     """Bound on the pushed-degree ledger sum for a converged run at cfg.p.
 
-    Returns (gk + delta_max) vol(R) / (gk (1 - rho)) at p = 2, gk =
-    gamma*kappa, and ((gk + delta_max) / (gk (1 - rho)))**q vol(R) / (p - 1)
-    with q = 1/(p - 1) for p < 2.
+    Returns ((gk + delta_max) / (gk (1 - rho)))**q vol(R) / (p - 1), gk =
+    gamma*kappa and q = 1/(p - 1): at p = 2, q = 1 and it is
+    (gk + delta_max) vol(R) / (gk (1 - rho)), bit for bit.
 
     At p = 2 the per-push argument proves a different form. The residual
     mass (node residuals plus auxiliary residuals over gamma) starts at
@@ -408,13 +410,11 @@ def ledger_bound(cfg: DiffusionConfig, seed_volume: float, delta_max: float) -> 
     1e-4-0.99 and kappa 0.01-0.99, the ledger-bound search in ROADMAP.md's
     Baseline). The p < 2 form is not derived in this module.
     Near p = 1 its q-th powers leave the float range, and at either p
-    gamma*kappa can underflow to 0; the bound is then math.inf.
+    gk*(1 - rho) can underflow to 0; the bound is then math.inf.
     """
     gk = cfg.gamma * cfg.kappa
     q = 1.0 / (cfg.p - 1.0)
     try:
-        if cfg.p == 2.0:
-            return (gk + delta_max) * seed_volume / (gk * (1 - cfg.rho))
         return (gk + delta_max) ** q * seed_volume / ((cfg.p - 1.0) * (gk * (1 - cfg.rho)) ** q)
     except (OverflowError, ZeroDivisionError):
         return math.inf

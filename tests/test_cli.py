@@ -507,14 +507,17 @@ def test_check_help_names_its_kappa_default(capsys):
     assert "required" not in kappa_help
 
 
-def test_diffuse_tiny_gamma_kappa_reports_ledger_bound_as_null(tri_file, tmp_path):
-    # gamma * kappa underflows to 0: the p = 2 bound is reported as null
-    # instead of the run dying on a ZeroDivisionError before its record.
+def test_diffuse_rejects_gamma_kappa_that_underflows(tri_file, tmp_path, capsys):
+    # gamma * kappa = 1e-400 is 0.0 in floats: a usage error naming the
+    # cause, before any solve, not a ZeroDivisionError traceback or a
+    # solution written as converged.
     out = tmp_path / "out"
     rc = main(["diffuse", "--graph", str(tri_file), "--seed-nodes", "1",
                "--kappa", "1e-200", "--gamma", "1e-200", "--out", str(out)])
-    assert rc == 0
-    assert json.loads((out / "report.jsonl").read_text())["ledger_bound"] is None
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "hyperlocal: error: gamma*kappa underflows to 0: 1e-200*1e-200\n"
+    assert not out.exists()
 
 
 def test_diffuse_reports_unrepresentable_ledger_bound_as_null(tri_file, tmp_path):

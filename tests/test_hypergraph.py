@@ -149,6 +149,10 @@ def test_views_reject_keys_outside_their_range(name, kind, count, where):
             view[key]
     assert len(view) == 0
     assert h.hyperedges[-1] == (2, 3) and h.gadgets[-1] == [GadgetParams()]
+    for rows in (h.hyperedges, h.gadgets):
+        # An index below -count is named as given, not as -count added to it.
+        with pytest.raises(IndexError, match=r"^edge id -4 out of range$"):
+            rows[-4]
 
 
 def test_parse_gadget_sidecar():

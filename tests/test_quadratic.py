@@ -67,6 +67,7 @@ def state_with(h, seeds, x=None):
     dict(kappa=0.1, gamma=math.inf),
     dict(kappa=0.1, rho=math.nan),
     dict(kappa=0.1, max_pushes=-1),
+    dict(kappa=1e-200, gamma=1e-200),
 ])
 def test_config_rejects_out_of_range(bad):
     with pytest.raises(ValueError):
@@ -468,10 +469,12 @@ def test_ledger_bound_formulas():
 
 
 @pytest.mark.parametrize("p", [2.0, 1.4])
-def test_ledger_bound_is_inf_when_gamma_kappa_underflows(p):
-    # gamma * kappa = 1e-400 is 0.0 in floats: no bound, rather than a
-    # ZeroDivisionError that stops the run before its record is written.
-    assert ledger_bound(cfg(kappa=1e-200, gamma=1e-200, p=p), 1.0, 1.0) == math.inf
+def test_ledger_bound_is_inf_when_its_denominator_underflows(p):
+    # gamma * kappa is the smallest subnormal, and times 1 - rho (about 0.1) it is
+    # 0.0 in floats: no bound, rather than a ZeroDivisionError.
+    c = cfg(kappa=1.0, gamma=5e-324, rho=0.9, p=p)
+    assert c.gamma * c.kappa > 0
+    assert ledger_bound(c, 1.0, 1.0) == math.inf
 
 
 # ---------------------------------------------------------------------------
