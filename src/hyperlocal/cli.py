@@ -23,9 +23,11 @@ from .hypergraph import (
     _uniform_gadgets,
     format_hgr,
     parse_gadget_lines,
-    parse_hypergraph,
 )
 from .oracles import (
+    BRUTE_NODE_CAP,
+    GADGET_ENUM_CAP,
+    REDUCED_NODE_CAP,
     brute_min_conductance,
     cut_preservation_check,
     kkt_check,
@@ -50,7 +52,10 @@ _KAPPA_HELP = ("sparsity threshold kappa (%s); no value suits every graph -- "
                "~2.5e-3 around 1e5 hyperedges, ~2.5e-4 around 1e6")
 
 _DELTA_HELP = ("uniform gadget threshold delta >= 1 for every hyperedge "
-               "(default 1.0); excludes --gadgets, whose sidecar sets every delta")
+               "(default %(default)s); excludes --gadgets, whose sidecar sets every delta")
+
+_IDS_HELP = ("node ids (1-based), separated by any whitespace; a line or "
+             "token starting with %% is a comment")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,30 +87,22 @@ def _write_text(path: str, body: str) -> None:
         raise _CliIOError(f"cannot write {path}: {exc}") from exc
 
 
-def _delta(args) -> float:
-    """The uniform --delta; the sidecar sets every delta, so it excludes --gadgets."""
-    if args.gadgets and args.delta is not None:
-        raise ValueError("--delta and --gadgets exclude each other "
-                         "(the sidecar gives every gadget's delta)")
-    return 1.0 if args.delta is None else args.delta
-
-
 def _load_graph(args) -> Hypergraph:
-    """Parse the .hgr (and the --gadgets sidecar, if given), then build once.
-    Each input text is passed straight to its parser, so it is freed once
-    parsed, before the next file is read and before the build."""
-    delta = _delta(args)
+    """Parse the .hgr (check's built-in instance without --graph) and the
+    --gadgets sidecar, if given, then build once. Each input text is passed
+    straight to its parser, so it is freed once parsed, before the next file
+    is read and before the build."""
     path = args.graph
     try:
-        n, edges = _parse_edges(_read_text(path))
+        n, edges = _parse_edges(_read_text(path) if path else _CHECK_DEFAULT)
         if args.gadgets:
             path = args.gadgets
             rows = parse_gadget_lines(_read_text(path), len(edges))
+        else:
+            # A bad --delta is a plain ValueError: exit 1.
+            rows = _uniform_gadgets(len(edges), GadgetParams(1.0, args.delta))
     except HypergraphFormatError as exc:
         raise _CliIOError(f"{path}: {exc}") from exc
-    if not args.gadgets:
-        # A bad --delta is a ValueError: exit 1.
-        rows = _uniform_gadgets(len(edges), GadgetParams(1.0, delta))
     return Hypergraph(n, edges, rows)
 
 
@@ -321,18 +318,18 @@ def _cmd_gen(args) -> int:
 
 
 _CHECK_DEFAULT = "4 2\n1 2 3\n2 3 4\n"
+# check's own budgets: the most nodes whose 2^n subsets it enumerates, and
+# the most coordinates it hands the reference optimizer.
+_CHECK_ENUM_NODES = 12
+_CHECK_REFERENCE_SIZE = 200
 
 
 def _cmd_check(args) -> int:
-    if args.graph:
-        h = _load_graph(args)
-        seeds = (_parse_id_list(_read_text(args.seeds), h.num_nodes, args.seeds)
-                 if args.seeds else [0])
-    elif args.gadgets or args.seeds:
+    if not args.graph and (args.gadgets or args.seeds):
         raise ValueError("--gadgets and --seeds need --graph")
-    else:
-        h = parse_hypergraph(_CHECK_DEFAULT, default_delta=_delta(args))
-        seeds = [0]
+    h = _load_graph(args)
+    seeds = (_parse_id_list(_read_text(args.seeds), h.num_nodes, args.seeds)
+             if args.seeds else [0])
     cfg = DiffusionConfig(kappa=args.kappa, gamma=args.gamma, rho=args.rho, p=args.p)
     failures = 0
 
@@ -341,7 +338,8 @@ def _cmd_check(args) -> int:
         print(f"{'ok  ' if ok else 'FAIL'} {name}" + (f": {detail}" if detail else ""))
         failures += 0 if ok else 1
 
-    if h.num_nodes <= 12 and h.num_nodes + 2 * h.num_gadgets <= 22:
+    size = h.num_nodes + 2 * h.num_gadgets
+    if h.num_nodes <= _CHECK_ENUM_NODES and size <= REDUCED_NODE_CAP:
         phi_h, fam_h = min_conductance_family(h)
         phi_g, fam_g = reduced_min_conductance_family(h)
         report("min-conductance family preserved",
@@ -350,7 +348,7 @@ def _cmd_check(args) -> int:
                f"{len(fam_h)} vs {len(fam_g)} minimizers")
     else:
         print("skip min-conductance family (instance too large)")
-    if h.num_gadgets <= 8 and h.num_nodes <= 12:
+    if h.num_gadgets <= GADGET_ENUM_CAP and h.num_nodes <= _CHECK_ENUM_NODES:
         bad = []
         for mask in range(1 << h.num_nodes):
             s = [v for v in range(h.num_nodes) if mask >> v & 1]
@@ -371,12 +369,11 @@ def _cmd_check(args) -> int:
            f"aux={rep.max_aux_residual:.2e} box={rep.max_box_violation:.2e}")
 
     full = replay_pushes(h, seeds, cfg, events)
-    size = h.num_nodes + 2 * h.num_gadgets
     sparse = [res.state.x.get(i, 0.0) for i in range(size)]
     dev = max(abs(a - b) for a, b in zip(full, sparse))
     report("push replay agreement", dev <= 1e-6, f"max dev {dev:.2e}")
 
-    if h.num_nodes + 2 * h.num_gadgets <= 200:
+    if size <= _CHECK_REFERENCE_SIZE:
         ref = reference_qp_solver(h, seeds, cfg)
         ref_rep = kkt_check(h, seeds, cfg, ref)
         f_ref = objective_value(h, seeds, cfg, ref)
@@ -391,7 +388,7 @@ def _cmd_check(args) -> int:
     report("push ledger within bound", res.sum_pushed_degree <= bound,
            f"{res.sum_pushed_degree:.6g} <= {bound:.6g}")
 
-    if h.num_nodes <= 20:
+    if h.num_nodes <= BRUTE_NODE_CAP:
         best_set, best_phi = brute_min_conductance(h)
         print(f"info brute min conductance: {[v + 1 for v in best_set]} phi={best_phi:.6g}")
     return EXIT_OK if failures == 0 else EXIT_NOCONV
@@ -402,13 +399,17 @@ def build_parser() -> argparse.ArgumentParser:
                   description="Strongly local hypergraph diffusion toolkit.")
     sub = top.add_subparsers(dest="command", required=True, metavar="command")
 
+    def graph_flags(p, **graph):
+        p.add_argument("--graph", **graph)
+        family = p.add_mutually_exclusive_group()
+        family.add_argument("--gadgets", help="per-edge gadget sidecar file (c:delta tokens)")
+        family.add_argument("--delta", type=float, default=1.0, help=_DELTA_HELP)
+
     def common_solver_flags(p, kappa_multi):
         p.add_argument("--gamma", type=float, default=0.1,
                        help="locality parameter (default 0.1)")
         p.add_argument("--rho", type=float, default=0.5,
                        help="push approximation parameter in (0,1) (default 0.5)")
-        p.add_argument("--delta", type=float, default=None,
-                       help=_DELTA_HELP)
         p.add_argument("--p", type=float, default=2.0,
                        help="norm exponent in (1,2] (default 2.0, closed-form path)")
         if kappa_multi:
@@ -419,8 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help=_KAPPA_HELP % "default %(default)s")
 
     d = sub.add_parser("diffuse", help="run a localized diffusion and sweepcut")
-    d.add_argument("--graph", required=True, help=".hgr hypergraph file")
-    d.add_argument("--gadgets", help="per-edge gadget sidecar file (c:delta tokens)")
+    graph_flags(d, required=True, help=".hgr hypergraph file")
     d.add_argument("--seeds", nargs="+", help="seed node files (1-based ids)")
     d.add_argument("--seed-nodes", help="inline comma-separated 1-based seed ids")
     common_solver_flags(d, kappa_multi=True)
@@ -434,17 +434,14 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=_cmd_diffuse)
 
     s = sub.add_parser("sweep", help="sweep an existing solution vector")
-    s.add_argument("--graph", required=True)
-    s.add_argument("--gadgets")
+    graph_flags(s, required=True, help=".hgr hypergraph file")
     s.add_argument("--x", required=True, help="solution CSV (node_id,x)")
-    s.add_argument("--delta", type=float, default=None,
-                   help=_DELTA_HELP)
     s.add_argument("--out", help="profile CSV path (default: stdout)")
     s.set_defaults(func=_cmd_sweep)
 
     e = sub.add_parser("eval", help="precision/recall/F1 of a prediction file")
-    e.add_argument("--pred", required=True, help="predicted node ids, one per line")
-    e.add_argument("--truth", required=True, help="ground-truth node ids")
+    e.add_argument("--pred", required=True, help="predicted " + _IDS_HELP)
+    e.add_argument("--truth", required=True, help="ground-truth " + _IDS_HELP)
     e.add_argument("--append-csv", help="append a result row to this CSV")
     e.set_defaults(func=_cmd_eval)
 
@@ -461,8 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_gen)
 
     c = sub.add_parser("check", help="run the oracle battery on a small instance")
-    c.add_argument("--graph", help="optional .hgr file (default: built-in example)")
-    c.add_argument("--gadgets")
+    graph_flags(c, help="optional .hgr file (default: built-in example)")
     c.add_argument("--seeds", help="seed node file (default: node 1)")
     common_solver_flags(c, kappa_multi=False)
     c.set_defaults(func=_cmd_check)

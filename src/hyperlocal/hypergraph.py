@@ -342,8 +342,8 @@ def _gadget_arrays(gadgets, m):
 
 def _crossing_edges(h: Hypergraph, s: set):
     """(k, |edge k & s|) for each edge k that s splits, ascending in k. Reads
-    only the edges incident to s; ids outside [0, n) are ignored."""
-    edges = {h.edge_of[j] for v in s if 0 <= v < h.num_nodes for j in h.incident_gadgets[v]}
+    only the edges incident to s; an id outside [0, n) raises IdOutOfRange."""
+    edges = {h.edge_of[j] for v in s for j in h.incident_gadgets[v]}
     for k in sorted(edges):
         e = h.hyperedges.memo[k]
         inside = sum(1 for v in e if v in s)

@@ -17,6 +17,7 @@ from .reduction import build_localized_cut_graph, build_reduced_graph
 
 BRUTE_NODE_CAP = 20
 GADGET_ENUM_CAP = 8
+REDUCED_NODE_CAP = 22
 REFERENCE_SIZE_CAP = 2000
 REFERENCE_TOL = 1e-10  # reference_qp_solver's KKT violation target
 REFERENCE_MAX_SWEEPS = 200000
@@ -90,7 +91,7 @@ def reduced_min_conductance_family(h: Hypergraph):
     using the reduced degree vector (auxiliaries weigh 0), reported as
     (phi_min, set of frozensets T & V). Exponential in n + 2*gadgets."""
     g = build_reduced_graph(h)
-    if g.node_count > 22:
+    if g.node_count > REDUCED_NODE_CAP:
         raise ValueError(f"reduced node count {g.node_count} too large to enumerate")
 
     def cut_of(bits):

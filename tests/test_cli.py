@@ -186,12 +186,15 @@ def test_delta_with_gadgets_is_usage_error(quad_files, tmp_path, capsys):
     x = tmp_path / "x.csv"
     x.write_text("node_id,x\n1,0.5\n")
     common = ["--graph", str(g), "--gadgets", str(side), "--delta", "3"]
-    assert main(["diffuse", *common, "--seed-nodes", "1", "--kappa", "0.05",
-                 "--out", str(tmp_path / "out")]) == 1
+    for argv in (["diffuse", *common, "--seed-nodes", "1", "--kappa", "0.05",
+                  "--out", str(tmp_path / "out")],
+                 ["sweep", *common, "--x", str(x)],
+                 ["check", *common, "--kappa", "0.1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "argument --delta: not allowed with argument --gadgets" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    assert main(["sweep", *common, "--x", str(x)]) == 1
-    assert main(["check", *common, "--kappa", "0.1"]) == 1
-    assert "--delta and --gadgets exclude each other" in capsys.readouterr().err
 
 
 def test_nonfinite_sidecar_delta_is_format_error(quad_files, tmp_path):
@@ -535,3 +538,128 @@ def test_diffuse_reports_unrepresentable_ledger_bound_as_null(tri_file, tmp_path
 def test_check_missing_graph_is_io_error(tmp_path):
     assert main(["check", "--graph", str(tmp_path / "nope.hgr"),
                  "--kappa", "0.1"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# input errors and help
+
+
+def test_seed_nodes_out_of_range_is_io_error(tri_file, tmp_path, capsys):
+    rc = main(["diffuse", "--graph", str(tri_file), "--seed-nodes", "1,99",
+               "--kappa", "0.1", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "hyperlocal: error: --seed-nodes: node id 99 out of range 1..3\n"
+
+
+def test_seed_file_of_comments_only_is_io_error(tri_file, tmp_path, capsys):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("% no seeds here\n%1 2\n")
+    rc = main(["diffuse", "--graph", str(tri_file), "--seeds", str(seeds),
+               "--kappa", "0.1", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"hyperlocal: error: {seeds}: no node ids found\n"
+
+
+def test_diffuse_without_seeds_is_io_error(tri_file, tmp_path, capsys):
+    rc = main(["diffuse", "--graph", str(tri_file), "--kappa", "0.1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "hyperlocal: error: no seeds given (use --seeds or --seed-nodes)\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1,0.5,2\n", "2: expected 'node_id,x'"),
+    ("1,abc\n", "2: bad row '1,abc'"),
+    ("4,0.5\n", "2: node id 4 out of range"),
+])
+def test_sweep_rejects_malformed_rows(tri_file, tmp_path, capsys, rows, message):
+    xcsv = tmp_path / "x.csv"
+    xcsv.write_text("node_id,x\n" + rows)
+    assert main(["sweep", "--graph", str(tri_file), "--x", str(xcsv)]) == 2
+    assert capsys.readouterr().err == f"hyperlocal: error: {xcsv}:{message}\n"
+
+
+def test_sweep_without_positive_x_is_io_error(tri_file, tmp_path, capsys):
+    xcsv = tmp_path / "x.csv"
+    xcsv.write_text("node_id,x\n1,0\n2,-0.5\n")
+    assert main(["sweep", "--graph", str(tri_file), "--x", str(xcsv)]) == 2
+    assert capsys.readouterr().err == \
+        "hyperlocal: error: sweepcut needs at least one positive entry\n"
+
+
+def test_unwritable_outputs_are_io_errors(tri_file, tmp_path, capsys):
+    # A regular file where a directory should be fails for every user, root too.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    rc = main(["diffuse", "--graph", str(tri_file), "--seed-nodes", "1",
+               "--kappa", "0.1", "--out", str(blocker)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"hyperlocal: error: cannot write {blocker / 'solution.csv'}: ")
+    p, t = eval_files(tmp_path, [1], [1])
+    rc = main(["eval", "--pred", str(p), "--truth", str(t),
+               "--append-csv", str(blocker / "scores.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"hyperlocal: error: cannot append to {blocker / 'scores.csv'}: ")
+
+
+def test_gen_bad_blocks_is_usage_error(tmp_path, capsys):
+    rc = main(["gen", "--blocks", "20,x", "--epb", "30", "--sizes", "3:5",
+               "--rng", "7", "--out", str(tmp_path / "g")])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "hyperlocal: error: bad --blocks/--sizes ('20,x', '3:5')\n"
+    assert not (tmp_path / "g").exists()
+
+
+def test_check_reads_seeds_from_file(tmp_path, capsys):
+    """--seeds moves the battery off node 1: the same instance seeded at
+    node 4 passes with a different optimum."""
+    graph = tmp_path / "h44.hgr"
+    graph.write_text(H44_TEXT)
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("4\n")
+    assert main(["check", "--graph", str(graph)]) == 0
+    node_one = capsys.readouterr().out
+    assert main(["check", "--graph", str(graph), "--seeds", str(seeds)]) == 0
+    node_four = capsys.readouterr().out
+    assert "FAIL" not in node_four and "reference optimum dominates" in node_four
+    assert node_four != node_one
+    seeds.write_text("5\n")
+    assert main(["check", "--graph", str(graph), "--seeds", str(seeds)]) == 2
+    assert capsys.readouterr().err == \
+        f"hyperlocal: error: {seeds}: node id 5 out of range 1..4\n"
+
+
+def test_check_skips_what_is_too_large_to_enumerate(tmp_path, capsys):
+    path = tmp_path / "path.hgr"
+    path.write_text("101 100\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 101)))
+    assert main(["check", "--graph", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    skipped = [line for line in out if line.startswith("skip")]
+    assert skipped == ["skip min-conductance family (instance too large)",
+                       "skip cut preservation (instance too large)",
+                       "skip reference comparison (instance too large)"]
+    assert not any(line.startswith(("FAIL", "info")) for line in out)
+
+
+@pytest.mark.parametrize("command", ["diffuse", "sweep", "eval", "gen", "check"])
+def test_every_help_renders(command, capsys):
+    """argparse expands a help string's % only when help is asked for, so a
+    bad one shows up here and nowhere else."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: hyperlocal {command} ")
+    flat = " ".join(out.split())
+    if command in ("diffuse", "sweep", "check"):
+        assert "[--gadgets GADGETS | --delta DELTA]" in out
+        assert "every hyperedge (default 1.0); excludes --gadgets" in flat
+    if command == "eval":
+        assert ("--pred PRED predicted node ids (1-based), separated by any whitespace; "
+                "a line or token starting with % is a comment") in flat

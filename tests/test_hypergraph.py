@@ -27,6 +27,7 @@ from hyperlocal.hypergraph import (
     GadgetRows,
     Hypergraph,
     HypergraphFormatError,
+    IdOutOfRange,
     _gadget_arrays,
     _parse_edges,
     conductance,
@@ -125,6 +126,39 @@ def test_volume_and_set_metrics_reject_out_of_range_ids(bad):
         with pytest.raises(ValueError, match=rf"^node id {bad} out of range$"):
             metric([0, bad])
     assert h.volume([0, 3]) == 3.0
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 10])
+def test_cut_value_rejects_out_of_range_ids(bad):
+    """cut_value raises on an id outside [0, n), as set_metrics does, rather
+    than returning the cut of the set without it."""
+    h = Hypergraph(4, [(0, 1, 2), (1, 2, 3), (2, 3)])
+    with pytest.raises(IdOutOfRange, match=rf"^node id {bad} out of range$"):
+        cut_value(h, {0, bad})
+    assert cut_value(h, {0}) == 1.0
+
+
+@pytest.mark.parametrize("n, message", [(0, "hypergraph needs at least one node"),
+                                        (MAX_NODES + 1, f"at most {MAX_NODES} nodes")])
+def test_node_count_outside_the_id_range_is_rejected(n, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        Hypergraph(n, [])
+
+
+@pytest.mark.parametrize("gadgets, message", [
+    (parse_gadget_lines("1:2\n", 1), "need exactly one gadget list per hyperedge"),
+    ([[GadgetParams()]], "need exactly one gadget list per hyperedge"),
+    ([[GadgetParams()], []], "empty gadget list"),
+])
+def test_gadget_rows_must_match_the_edges(gadgets, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Hypergraph(4, [(0, 1, 2), (2, 3)], gadgets)
+
+
+@pytest.mark.parametrize("in_count", [-1, 4])
+def test_splitting_penalty_rejects_in_count_outside_the_edge(in_count):
+    with pytest.raises(ValueError, match=rf"^in_count {in_count} outside \[0, 3\]$"):
+        splitting_penalty([GadgetParams()], in_count, 3)
 
 
 # (view, id kind, count) of every id-keyed view of

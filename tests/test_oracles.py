@@ -121,6 +121,14 @@ def test_kkt_zero_vector_large_kappa():
     assert rep.ok(1e-12)
 
 
+@pytest.mark.parametrize("length", [3, 5, 9])
+def test_kkt_rejects_a_vector_of_the_wrong_length(length):
+    """x covers the 4 nodes, or the nodes and both gadgets' pairs (8); any
+    other length is an error naming both."""
+    with pytest.raises(ValueError, match=f"^solution vector has length {length}, expected 4 or 8$"):
+        kkt_check(H44, [0], cfg(), np.zeros(length))
+
+
 def test_cut_preservation_gadget_cap():
     h = Hypergraph(3, [(0, 1)] * 9)
     with pytest.raises(ValueError, match="cap"):

@@ -62,6 +62,14 @@ def test_localized_errors():
         build_localized_cut_graph(lonely, {2}, 0.1)
 
 
+@pytest.mark.parametrize("seed", [-1, 4, 5])
+def test_localized_seed_must_be_an_original_node(seed):
+    """An auxiliary id (4 and 5 are gadget 0's pair) or a negative one is no seed."""
+    g = build_reduced_graph(parse_hypergraph(FOUR_TWO))
+    with pytest.raises(ValueError, match=f"^seed {seed} is not an original node$"):
+        build_localized_cut_graph(g, {seed}, 0.1)
+
+
 def test_volume_matches_through_reduction():
     h = parse_hypergraph(FOUR_TWO)
     g = build_reduced_graph(h)

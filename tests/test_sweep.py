@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import full_scan_delta_bar, full_scan_sweepcut, random_instance
-from hyperlocal.hypergraph import GadgetParams, Hypergraph, _Rows, parse_hypergraph, set_metrics
+from hyperlocal.hypergraph import (
+    GadgetParams,
+    Hypergraph,
+    IdOutOfRange,
+    _Rows,
+    parse_hypergraph,
+    set_metrics,
+)
 from hyperlocal.quadratic import DiffusionConfig, solve
 from hyperlocal.sweep import boundary_delta_bar, prf1, profile_csv, sweepcut
 from hyperlocal.synth import SplitMix64, planted_hypergraph, sample_seeds
@@ -155,8 +162,9 @@ def test_local_sweep_matches_full_scan(seed):
     for r in range(len(prof.order) + 1):
         prefix = prof.order[:r]
         assert boundary_delta_bar(h, prefix) == full_scan_delta_bar(h, prefix)
-    outside = [h.num_nodes, h.num_nodes + 5, -1]
-    assert boundary_delta_bar(h, prof.order + outside) == full_scan_delta_bar(h, prof.order)
+    for bad in (h.num_nodes, h.num_nodes + 5, -1):
+        with pytest.raises(IdOutOfRange):
+            boundary_delta_bar(h, prof.order + [bad])
 
 
 def test_sweep_cases_cover_both_boundary_kinds():

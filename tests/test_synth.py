@@ -226,3 +226,13 @@ def test_sample_seeds_validation(kw, err):
     args.update(kw)
     with pytest.raises(ValueError, match=err):
         sample_seeds(args["labels"], args["block"], args["k"], args["mode"], args["rng_seed"])
+
+
+def test_sampler_input_errors():
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError, match=r"^randrange needs n > 0, got 0$"):
+        rng.randrange(0)
+    with pytest.raises(ValueError, match=r"^cannot sample 4 from 3 elements$"):
+        rng.sample(range(3), 4)
+    with pytest.raises(ValueError, match=r"^degree_proportional sampling needs the degree vector$"):
+        sample_seeds([0, 0, 1], 0, 1, "degree_proportional", 7)
