@@ -87,23 +87,37 @@ def _write_text(path: str, body: str) -> None:
         raise _CliIOError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_graph(args) -> Hypergraph:
+def _load_graph(args, timings=None) -> Hypergraph:
     """Parse the .hgr (check's built-in instance without --graph) and the
     --gadgets sidecar, if given, then build once. Each input text is passed
     straight to its parser, so it is freed once parsed, before the next file
-    is read and before the build."""
+    is read and before the build. Given a dict, timings gets the seconds of
+    the scans (parse_s) and of the build (build_s)."""
+    timings = {} if timings is None else timings
+    timings["parse_s"] = 0.0
     path = args.graph
     try:
-        n, edges = _parse_edges(_read_text(path) if path else _CHECK_DEFAULT)
+        n, edges = _scan(timings, _parse_edges, _read_text(path) if path else _CHECK_DEFAULT)
         if args.gadgets:
             path = args.gadgets
-            rows = parse_gadget_lines(_read_text(path), len(edges))
+            rows = _scan(timings, parse_gadget_lines, _read_text(path), len(edges))
         else:
             # A bad --delta is a plain ValueError: exit 1.
             rows = _uniform_gadgets(len(edges), GadgetParams(1.0, args.delta))
     except HypergraphFormatError as exc:
         raise _CliIOError(f"{path}: {exc}") from exc
-    return Hypergraph(n, edges, rows)
+    t0 = time.perf_counter()
+    h = Hypergraph(n, edges, rows)
+    timings["build_s"] = round(time.perf_counter() - t0, 6)
+    return h
+
+
+def _scan(timings, parse, text, *args):
+    """parse(text, *args), its seconds added to timings["parse_s"]."""
+    t0 = time.perf_counter()
+    out = parse(text, *args)
+    timings["parse_s"] = round(timings["parse_s"] + time.perf_counter() - t0, 6)
+    return out
 
 
 def _read_ids(text: str, what: str):
@@ -207,8 +221,9 @@ def _run_one_diffusion(h, seeds, cfg, out_prefix, emit_aux, delta_max, report):
 
 def _cmd_diffuse(args) -> int:
     t0 = time.perf_counter()
-    h = _load_graph(args)
-    load_s = round(time.perf_counter() - t0, 6)
+    load = {}
+    h = _load_graph(args, load)
+    load["load_s"] = round(time.perf_counter() - t0, 6)
     seed_sets = []
     if args.seed_nodes:
         seed_sets.append(("inline", _parse_id_list(args.seed_nodes.replace(",", " "),
@@ -232,7 +247,7 @@ def _cmd_diffuse(args) -> int:
         prefix = (os.path.join(outdir, "") if len(runs) == 1
                   else os.path.join(outdir, f"run{idx:03d}."))
         report = {"seeds": [v + 1 for v in seeds], "kappa": cfg.kappa, "gamma": cfg.gamma,
-                  "rho": cfg.rho, "p": cfg.p, "timings": {"load_s": load_s},
+                  "rho": cfg.rho, "p": cfg.p, "timings": dict(load),
                   "graph": args.graph, "seed_source": tag, "run": idx}
         reports.append(report)
         try:
@@ -283,9 +298,19 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _eval_ids(path: str):
+    """The node ids of an eval file, as a set; the first id below 1, in file
+    order, is an error (eval reads no graph, so it knows no upper bound)."""
+    ids = _read_ids(_read_text(path), path)
+    for v in ids:
+        if v < 1:
+            raise _CliIOError(f"{path}: node id {v} is below 1")
+    return set(ids)
+
+
 def _cmd_eval(args) -> int:
-    pred = set(_read_ids(_read_text(args.pred), args.pred))
-    truth = set(_read_ids(_read_text(args.truth), args.truth))
+    pred = _eval_ids(args.pred)
+    truth = _eval_ids(args.truth)
     p, r, f1 = prf1(pred, truth)
     print(f"{p:.4f} {r:.4f} {f1:.4f}")
     if args.append_csv:

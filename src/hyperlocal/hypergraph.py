@@ -21,7 +21,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -203,21 +203,32 @@ class Hypergraph:
         # c * min(1, |e| - 1, delta) = c to each member (|e| >= 2, delta >= 1);
         # bincount adds in pair order, as a per-gadget `deg[v] += c` loop would.
         # With one gadget per edge (gadget j on edge j) the pairs' nodes are
-        # the members themselves. Each pair temporary is dropped before the
-        # next is made.
-        sizes = np.diff(offsets)
+        # the members themselves; else they are gathered into an array made
+        # before the int64 positions, which, freed first, leave no hole under it.
         if np.array_equal(g_edge, np.arange(m, dtype=g_edge.dtype)):
-            g_sizes, pair_nodes = sizes, members
+            g_sizes, pair_nodes = np.diff(offsets), members
         else:
-            g_sizes = sizes[g_edge]
-            pair_nodes = members[_row_positions(offsets[g_edge], g_sizes)]
+            g_sizes = np.diff(offsets)[g_edge]
+            pair_nodes = np.empty(int(g_sizes.sum()), dtype=members.dtype)
+            np.take(members, _row_positions(offsets[g_edge], g_sizes), out=pair_nodes)
         deg = np.bincount(pair_nodes, weights=np.repeat(g_c, g_sizes),
                           minlength=n).astype(np.float64, copy=False)  # int64 when empty
         self.incidence_offsets = _offsets(np.bincount(pair_nodes, minlength=n))
-        order = np.argsort(pair_nodes, kind="stable")
+        # incidence lists the pairs' gadget ids by node and, within a node,
+        # ascending: the order a stable sort of the pairs by node gives. No
+        # two pairs share node and gadget, so one in-place sort of the keys
+        # node * 2**32 + gadget gives it, holding one 8-byte array per pair;
+        # an argsort holds its int64 order and, as numpy's radix sort of
+        # 16-bit keys does, a scratch array as large beside it.
+        key = pair_nodes.astype(np.uint64)
         del pair_nodes
-        self.incidence = np.repeat(np.arange(len(g_edge), dtype=np.int32), g_sizes)[order]
-        del order
+        key <<= 32
+        key |= np.repeat(np.arange(len(g_edge), dtype=np.uint32), g_sizes)
+        del g_sizes
+        key.sort()
+        key &= 0xFFFFFFFF
+        self.incidence = key.astype(np.int32)
+        del key
 
         self.edge_offsets = offsets
         self.edge_members = members
@@ -264,9 +275,14 @@ def _offsets(counts):
 
 
 def _row_positions(starts, lengths):
-    """Concatenation of range(s, s + l) over (starts, lengths)."""
+    """Concatenation of range(s, s + l) over (starts, lengths), every l >= 1:
+    one cumsum, in place, of steps of 1 that jump to each row's start."""
     ends = np.cumsum(lengths)
-    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - lengths), lengths)
+    steps = np.ones(ends[-1] if len(ends) else 0, dtype=np.int64)
+    if len(steps):
+        steps[0] = starts[0]
+        steps[ends[:-1]] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
+    return np.cumsum(steps, out=steps)
 
 
 def _bad_rows(offsets, ids, n):
@@ -436,30 +452,23 @@ def _utf8(piece: str):
 
 
 def _scan_tokens(piece: str):
-    """Tokens of a run of whole lines, as str.split() finds them, from the
-    byte tables: (buf, kind, starts, ends, line, body). buf is the piece's
-    _utf8 bytes and kind their byte kinds; each token has start and end byte
-    offsets and a line index (ascending); body indexes the tokens not on a
-    comment line, a line whose first token starts with "%"."""
+    """Lines of a run of whole lines, with tokens as str.split() finds them,
+    from the byte tables: (buf, kind, counts, heads, comment). buf is the
+    piece's _utf8 bytes and kind their byte kinds; each line with a token
+    has its token count, the byte offset of its first token (ascending) and
+    whether it is a comment line, one whose first token starts with "%"."""
     buf = _utf8(piece)
     del piece
     kind = _BYTE_KIND[buf]
-    step = np.diff((kind < _SPACE).view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    step = np.diff((kind < _SPACE).view(np.int8), prepend=np.int8(0))
     starts = np.flatnonzero(step == 1)
-    ends = np.flatnonzero(step == -1)
     del step
-    line = np.searchsorted(np.flatnonzero(kind == _BREAK), starts)
-    first = _row_offsets(line)[:-1]  # each line's first token
-    comment = np.zeros(line[-1] + 1 if len(line) else 0, dtype=bool)
-    comment[line[first[buf[starts[first]] == ord("%")]]] = True
-    return buf, kind, starts, ends, line, np.flatnonzero(~comment[line])
-
-
-def _row_offsets(line):
-    """CSR offsets of the runs of equal values in an ascending array."""
-    new_row = np.ones(len(line), dtype=bool)
-    new_row[1:] = line[1:] != line[:-1]
-    return np.append(np.flatnonzero(new_row), len(line))
+    # Tokens per line: one search per line break, not one per token.
+    counts = np.diff(np.searchsorted(starts, np.flatnonzero(kind == _BREAK)),
+                     prepend=0, append=len(starts))
+    counts = counts[counts > 0]
+    heads = starts[_offsets(counts)[:-1]]
+    return buf, kind, counts, heads, buf[heads] == ord("%")
 
 
 def _line_at(text, lo, hi, pos):
@@ -500,56 +509,70 @@ def _scan_piece(tokens, header, ids, sizes, line_at):
     line_at(byte offset of a line's first token) gives the number and tokens
     of the header and of the first bad line, for which it raises
     HypergraphFormatError."""
-    buf, kind, starts, ends, line, body = tokens
+    buf, kind, counts, heads, comment = tokens
     del tokens
     if header is None:
-        if not len(body):
+        content = np.flatnonzero(~comment)
+        if not len(content):
             return None
-        header = _header(*line_at(starts[body[0]]))
-        body = body[2:]
-    # Narrowed to the edge tokens one array at a time, so that at most one
-    # of them is held twice.
-    starts = starts[body]
-    ends = ends[body]
-    line = line[body]
-    del body
+        header = _header(*line_at(heads[content[0]]))
+        k = content[0] + 1  # the lines after the header
+        counts, heads, comment = counts[k:], heads[k:], comment[k:]
+    # The edge lines' bytes, from the first line after the header on.
+    lo = heads[0] if len(heads) else len(buf)
+    buf, kind, heads = buf[lo:], kind[lo:], heads - lo
+    in_comment = None
+    if comment.any():
+        # Each byte from a comment line's first token to the next line's.
+        mark = np.zeros(len(buf), dtype=np.int8)
+        mark[heads] = np.diff(comment.view(np.int8), prepend=np.int8(0))
+        in_comment = np.cumsum(mark, dtype=np.int8).view(bool)
+        del mark
+        counts, heads = counts[~comment], heads[~comment]
 
-    offsets = _row_offsets(line)
-    del line
-    values = np.zeros(0, dtype=np.int64)
+    # Edge tokens are ASCII digits, with at most a leading sign. Every _OTHER
+    # byte lies in a token, so an odd token holds an _OTHER byte or a sign
+    # that is not at a token start followed by a digit.
+    odd = np.flatnonzero(kind == _OTHER)
+    signs = np.flatnonzero(kind == _SIGN)
+    if len(signs):
+        at_start = (signs == 0) | (kind[signs - 1] >= _SPACE)
+        digit_next = kind[np.minimum(signs + 1, len(kind) - 1)] == _DIGIT
+        odd = np.concatenate((odd, signs[~(at_start & digit_next)]))
+    if in_comment is not None:
+        odd = odd[~in_comment[odd]]
     odd_row = None  # the first row with a token that is not a number
-    if len(starts):
-        lo, hi = starts[0], ends[-1]
-        buf, kind = buf[lo:hi], kind[lo:hi]
-        starts -= lo
-        ends -= lo
-        mark = np.zeros(hi - lo + 1, dtype=np.int8)
-        mark[starts] = 1
-        mark[ends] = -1
-        inside = np.cumsum(mark[:-1], dtype=np.int8).view(bool)
-        del mark, ends
-        # Edge tokens are ASCII digits, with at most a leading sign.
-        odd = kind != _DIGIT
-        odd &= inside
-        after_sign = starts[kind[starts] == _SIGN] + 1
-        after_sign = after_sign[after_sign < len(buf)]
-        odd[after_sign[kind[after_sign] == _DIGIT] - 1] = False
-        if odd.any():  # read only the rows before it
-            token = np.searchsorted(starts, odd.argmax(), side="right") - 1
-            odd_row = np.searchsorted(offsets, token, side="right") - 1
-            offsets = offsets[:odd_row + 1]
-            buf, inside = buf[:starts[offsets[-1]]], inside[:starts[offsets[-1]]]
-        del kind, odd, after_sign
-        # The edge tokens, with everything between them blanked, read in C.
-        blanked = np.where(inside, buf, np.uint8(32)).tobytes()
-        del buf, inside
-        values = np.fromstring(blanked, dtype=np.int64, sep=" ")
-        starts += lo
+    if len(odd):  # read only the rows before it
+        odd_row = np.searchsorted(heads, odd.min(), side="right") - 1
+        buf, kind = buf[:heads[odd_row]], kind[:heads[odd_row]]
+        if in_comment is not None:
+            in_comment = in_comment[:heads[odd_row]]
+    del odd, signs
+    offsets = _offsets(counts[:odd_row])
+    values = np.zeros(0, dtype=np.int64)
+    if offsets[-1]:
+        # numpy's reader takes ASCII whitespace, not \x1c-\x1f, between
+        # numbers, so comment lines and those separators are blanked first.
+        # It reads a number on past the end of its buffer, so each buffer
+        # ends where a number cannot go on: the piece's bytes in the NUL
+        # after their bytes object, or in the whitespace before the first
+        # bad row; the blanked copy in a space of its own.
+        if in_comment is not None or ((buf >= 0x1C) & (buf <= 0x1F)).any():
+            keep = kind < _SPACE
+            if in_comment is not None:
+                keep &= ~in_comment
+            blanked = np.full(len(buf) + 1, 32, dtype=np.uint8)
+            np.copyto(blanked[:-1], buf, where=keep)
+            buf = blanked
+            del keep, blanked
+        del kind, in_comment
+        values = np.fromstring(buf, dtype=np.int64, sep=" ")
+    del buf
     values -= 1
     bad = np.flatnonzero(_bad_rows(offsets, values, header[0]))
     row = bad[0] if len(bad) else odd_row  # the first bad row
     if row is not None:
-        number, row_tokens = line_at(starts[offsets[row]])
+        number, row_tokens = line_at(lo + heads[row])
         raise HypergraphFormatError(f"line {number}: {_edge_error(row_tokens, header[0])}")
     ids.append(values.astype(np.int32))
     sizes.append(np.diff(offsets))
@@ -617,28 +640,29 @@ def parse_gadget_lines(text: str, num_edges: int) -> GadgetRows:
         return len(cs) - 1
 
     index = {}  # token -> index of its distinct token; valid ones only
-    picks, counts = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int64)]
+    picks, rows = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int64)]
     for lo, hi in _pieces(text):
         piece = text[lo:hi]
-        line, body = _scan_tokens(piece)[4:]
+        counts, heads, comment = _scan_tokens(piece)[2:]
         tokens = piece.split()
         del piece
-        if len(body) < len(tokens):
-            tokens = list(map(tokens.__getitem__, body.tolist()))
+        if comment.any():
+            tokens = list(compress(tokens, np.repeat(~comment, counts).tolist()))
+            counts, heads = counts[~comment], heads[~comment]
         try:
             for tok in dict.fromkeys(tokens):
                 if tok not in index:
                     index[tok] = parse(tok)
         except ValueError as exc:  # raised by the first token not in index
-            k = line[body[next(t for t, tok in enumerate(tokens) if tok not in index)]]
-            breaks = np.flatnonzero(_BYTE_KIND[_utf8(text[lo:hi])] == _BREAK)
-            number = _line_at(text, lo, hi, breaks[k - 1] + 1 if k else 0)[0]
+            t = next(t for t, tok in enumerate(tokens) if tok not in index)
+            row = np.searchsorted(np.cumsum(counts), t, side="right")
+            number = _line_at(text, lo, hi, heads[row])[0]
             raise HypergraphFormatError(f"line {number}: {exc}") from None
         picks.append(np.fromiter(map(index.__getitem__, tokens), dtype=np.int32,
                                  count=len(tokens)))
         del tokens
-        counts.append(np.diff(_row_offsets(line[body])))
-    counts = np.concatenate(counts)
+        rows.append(counts)
+    counts = np.concatenate(rows)
     if len(counts) != num_edges:
         raise HypergraphFormatError(
             f"gadget sidecar has {len(counts)} lines, hypergraph has {num_edges} hyperedges")

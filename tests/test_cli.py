@@ -67,11 +67,14 @@ def test_diffuse_report_timings(tri_file, tmp_path):
     reports = [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()]
     for rep in reports:
         timings = rep["timings"]
-        assert set(timings) == {"load_s", "solve_s", "sweep_s", "write_s"}
+        assert set(timings) == {"load_s", "parse_s", "build_s", "solve_s", "sweep_s", "write_s"}
         assert all(type(v) is float and v >= 0 for v in timings.values())
         assert timings["solve_s"] == rep["wall_time_s"]
+        # load_s is the total: file reads, the scans and the build.
+        assert timings["parse_s"] + timings["build_s"] <= timings["load_s"] + 2e-6
     # One graph load per process, reported on every record.
-    assert reports[0]["timings"]["load_s"] == reports[1]["timings"]["load_s"]
+    for key in ("load_s", "parse_s", "build_s"):
+        assert reports[0]["timings"][key] == reports[1]["timings"][key]
 
 
 def test_seed_file_comment_lines(tri_file, tmp_path):
@@ -373,6 +376,19 @@ def test_eval_malformed_file_is_io_error(tmp_path, capsys, which):
     assert main(["eval", "--pred", str(p), "--truth", str(t)]) == 2
     assert capsys.readouterr().err == \
         f"hyperlocal: error: {bad}: non-integer node id '2.5'\n"
+
+
+@pytest.mark.parametrize("which", ["pred", "truth"])
+def test_eval_rejects_ids_below_one(tmp_path, capsys, which):
+    """The first id below 1, in file order, exits 2 naming the file and the
+    id, as a seed file's id out of range does."""
+    p, t = eval_files(tmp_path, [1, 2], [2, 3])
+    bad = p if which == "pred" else t
+    bad.write_text("0\n-1\n1\n")
+    assert main(["eval", "--pred", str(p), "--truth", str(t)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"hyperlocal: error: {bad}: node id 0 is below 1\n"
 
 
 # ---------------------------------------------------------------------------
